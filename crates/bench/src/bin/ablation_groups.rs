@@ -1,13 +1,13 @@
-//! **A2 — group-count and grouping-strategy ablation** (paper §IV).
+//! **A2 — group-count ablation** (paper §IV).
 //!
 //! Sweeps M ∈ {1, 2, 3, 5, 6, 10, 15, 30} with 30 clients. M=1 degenerates
-//! to SL-with-aggregation, M=N to SplitFed. Also compares grouping
-//! strategies at M=6.
+//! to SL-with-aggregation, M=N to SplitFed. Grouping strategies are
+//! compared by `examples/grouping_study.rs`, on a fleet heterogeneous
+//! enough for grouping to matter.
 //!
 //! Usage: `cargo run -p gsfl-bench --release --bin ablation_groups [--rounds N]`
 
 use gsfl_bench::{paper_config, print_table, rounds_override, save_result};
-use gsfl_core::config::GroupingKind;
 use gsfl_core::runner::Runner;
 use gsfl_core::scheme::SchemeKind;
 
@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds = rounds_override().unwrap_or(20);
     eprintln!("ablation_groups: {rounds} rounds per setting");
 
-    println!("\nA2a — group-count sweep (30 clients, round-robin):");
+    println!("\nA2 — group-count sweep (30 clients, round-robin):");
     let mut rows = Vec::new();
     for m in [1usize, 2, 3, 5, 6, 10, 15, 30] {
         let config = paper_config(false)
@@ -44,35 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &["M", "round_s", "total_s", "acc_%", "server_storage_B"],
         &rows,
     );
-
-    println!("\nA2b — grouping strategies at M=6:");
-    let mut rows = Vec::new();
-    for (kind, label) in [
-        (GroupingKind::RoundRobin, "round-robin"),
-        (GroupingKind::Random, "random"),
-        (GroupingKind::ComputeBalanced, "compute-balanced"),
-        (GroupingKind::ChannelAware, "channel-aware"),
-    ] {
-        let config = paper_config(false)
-            .rounds(rounds)
-            .eval_every(rounds.max(1))
-            .grouping(kind)
-            .build()?;
-        let runner = Runner::new(config)?;
-        let result = runner.run(SchemeKind::Gsfl)?;
-        let round_latency = result
-            .records
-            .first()
-            .map(|r| r.round_latency_s)
-            .unwrap_or(0.0);
-        rows.push(vec![
-            label.to_string(),
-            format!("{round_latency:.1}"),
-            format!("{:.1}", result.final_accuracy_pct()),
-        ]);
-        eprintln!("  {label}: done");
-    }
-    print_table(&["strategy", "round_s", "acc_%"], &rows);
     println!("\nMore groups ⇒ more parallelism (until server slots saturate)");
     println!("but more replicas to store and average.");
     Ok(())

@@ -1,9 +1,8 @@
 //! Experiment configuration.
 
 use crate::compression::CompressionSpec;
-use crate::cut::CutPolicySpec;
 use crate::latency::ChannelMode;
-use crate::orchestrator::OrchestratorSpec;
+use crate::orchestrator::{CutPolicySpec, OrchestratorSpec};
 use crate::population::PopulationConfig;
 use crate::recovery::RecoverySpec;
 use crate::{CoreError, Result};
@@ -204,17 +203,16 @@ pub struct ExperimentConfig {
     /// `None` uses the model's default cut.
     pub cut_index: Option<usize>,
     /// How split schemes choose the cut each round: the fixed configured
-    /// cut (default, the paper's behavior), a greedy latency-estimate
-    /// policy, or a bandit over realized latencies. Adaptive policies
-    /// require `momentum == 0`.
+    /// cut (default, the paper's behavior), or the greedy or bandit
+    /// planner restricted to the cut axis. Adaptive policies require
+    /// `momentum == 0` and the static orchestrator.
     #[serde(default)]
     pub cut_policy: CutPolicySpec,
     /// How each round's joint cut × codec × bandwidth-share decision is
     /// made: statically from the configured fields (default, the paper's
     /// behavior), by a greedy per-round latency estimate, or by a bandit
     /// over realized latencies. Non-static orchestrators require
-    /// `momentum == 0` and the fixed cut policy — the orchestrator owns
-    /// the per-round cut decision.
+    /// `momentum == 0` and the fixed cut policy — a run has one planner.
     #[serde(default)]
     pub orchestrator: OrchestratorSpec,
     /// Dataset generation parameters.
@@ -317,6 +315,12 @@ impl ExperimentConfig {
         self.cut_index.unwrap_or_else(|| self.model.default_cut())
     }
 
+    /// Whether every round trains at [`ExperimentConfig::cut`]: the
+    /// fixed cut policy under the static orchestrator.
+    pub(crate) fn fixed_cut(&self) -> bool {
+        self.cut_policy.is_fixed() && self.orchestrator.is_static()
+    }
+
     /// Builds the wireless environment for this experiment: the base
     /// latency model wrapped by whatever [`Scenario`] the config names.
     ///
@@ -377,40 +381,26 @@ impl ExperimentConfig {
         if self.learning_rate.is_nan() || self.learning_rate <= 0.0 {
             return Err(CoreError::Config("learning_rate must be > 0".into()));
         }
-        if !self.cut_policy.is_fixed() && self.momentum != 0.0 {
+        if !self.cut_policy.is_fixed() && !self.orchestrator.is_static() {
             return Err(CoreError::Config(
-                "adaptive cut policies require momentum == 0 (optimizer \
-                 velocity cannot be remapped across cuts)"
+                "a run has one planner; use the Fixed cut policy with a \
+                 non-static orchestrator"
                     .into(),
             ));
         }
-        if let CutPolicySpec::Bandit { epsilon } = self.cut_policy {
-            if !(0.0..=1.0).contains(&epsilon) || epsilon.is_nan() {
+        if !self.fixed_cut() && self.momentum != 0.0 {
+            return Err(CoreError::Config(
+                "adaptive cuts require momentum == 0 (optimizer velocity \
+                 cannot be remapped across cuts)"
+                    .into(),
+            ));
+        }
+        if let (CutPolicySpec::Bandit { epsilon }, _) | (_, OrchestratorSpec::Bandit { epsilon }) =
+            (self.cut_policy, self.orchestrator)
+        {
+            if !(0.0..=1.0).contains(&epsilon) {
                 return Err(CoreError::Config(format!(
                     "bandit epsilon must be in [0,1], got {epsilon}"
-                )));
-            }
-        }
-        if !self.orchestrator.is_static() {
-            if self.momentum != 0.0 {
-                return Err(CoreError::Config(
-                    "orchestrators require momentum == 0 (optimizer \
-                     velocity cannot be remapped across cuts)"
-                        .into(),
-                ));
-            }
-            if !self.cut_policy.is_fixed() {
-                return Err(CoreError::Config(
-                    "orchestrators own the per-round cut decision; use the \
-                     Fixed cut policy with a non-static orchestrator"
-                        .into(),
-                ));
-            }
-        }
-        if let OrchestratorSpec::Bandit { epsilon } = self.orchestrator {
-            if !(0.0..=1.0).contains(&epsilon) || epsilon.is_nan() {
-                return Err(CoreError::Config(format!(
-                    "orchestrator bandit epsilon must be in [0,1], got {epsilon}"
                 )));
             }
         }
@@ -515,7 +505,7 @@ impl ExperimentConfigBuilder {
     }
 
     /// Sets the per-round cut-selection policy (see
-    /// [`crate::cut::CutPolicySpec`]).
+    /// [`crate::orchestrator::CutPolicySpec`]).
     pub fn cut_policy(mut self, p: CutPolicySpec) -> Self {
         self.config.cut_policy = p;
         self
@@ -696,21 +686,45 @@ mod tests {
             .cut_policy(CutPolicySpec::Bandit { epsilon: 1.5 })
             .build()
             .is_err());
+        assert!(ExperimentConfig::builder()
+            .cut_policy(CutPolicySpec::Bandit { epsilon: f64::NAN })
+            .build()
+            .is_err());
         // Serde default keeps old configs loading as Fixed.
-        let json = r#"{"clients":2,"groups":1,"rounds":1,"batch_size":1,
-            "learning_rate":0.1,"momentum":0.0,"local_epochs":1,
-            "model":{"Mlp":{"hidden":[8]}},"cut_index":null,
-            "dataset":{"classes":2,"samples_per_class":2,"test_per_class":1,"image_size":8},
-            "partition":"Iid","augment":{"rotation":0.0,"translation":0.0,"scale_jitter":0.0,
-            "brightness":0.0,"noise_std":0.0,"background_jitter":0.0},
-            "wireless":{"bandwidth_mhz":10.0,"server_slots":4,"server_gflops":50.0,
-            "device_min_gflops":0.2,"device_max_gflops":0.6,"fading":true},
-            "bandwidth_policy":"Equal","channel":"Dedicated","grouping":"RoundRobin",
-            "eval_every":1,"target_accuracy":null,"availability":1.0,"seed":0}"#;
-        let cfg: ExperimentConfig = serde_json::from_str(json).unwrap();
+        let cfg: ExperimentConfig = serde_json::from_str(MINIMAL_JSON).unwrap();
         assert_eq!(cfg.cut_policy, CutPolicySpec::Fixed);
         // ... and (no `orchestrator` key) as the static orchestrator.
         assert_eq!(cfg.orchestrator, OrchestratorSpec::Static);
+    }
+
+    /// A config saved with only the fields every version has.
+    const MINIMAL_JSON: &str = r#"{"clients":2,"groups":1,"rounds":1,"batch_size":1,
+        "learning_rate":0.1,"momentum":0.0,"local_epochs":1,
+        "model":{"Mlp":{"hidden":[8]}},"cut_index":null,
+        "dataset":{"classes":2,"samples_per_class":2,"test_per_class":1,"image_size":8},
+        "partition":"Iid","augment":{"rotation":0.0,"translation":0.0,"scale_jitter":0.0,
+        "brightness":0.0,"noise_std":0.0,"background_jitter":0.0},
+        "wireless":{"bandwidth_mhz":10.0,"server_slots":4,"server_gflops":50.0,
+        "device_min_gflops":0.2,"device_max_gflops":0.6,"fading":true},
+        "bandwidth_policy":"Equal","channel":"Dedicated","grouping":"RoundRobin",
+        "eval_every":1,"target_accuracy":null,"availability":1.0,"seed":0}"#;
+
+    #[test]
+    fn saved_adaptive_cut_policies_load_and_validate() {
+        for (policy, expect) in [
+            (r#""Greedy""#, CutPolicySpec::Greedy),
+            (
+                r#"{"Bandit":{"epsilon":0.2}}"#,
+                CutPolicySpec::Bandit { epsilon: 0.2 },
+            ),
+        ] {
+            let json =
+                MINIMAL_JSON.replace(r#""seed":0"#, &format!(r#""cut_policy":{policy},"seed":0"#));
+            let cfg: ExperimentConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(cfg.cut_policy, expect);
+            cfg.validate().unwrap();
+            assert_eq!(serde_json::to_string(&cfg.cut_policy).unwrap(), policy);
+        }
     }
 
     #[test]

@@ -48,10 +48,10 @@ pub struct TrainContext {
     /// cut.
     pub costs: SplitCosts,
     /// Valid candidate cut indices for the configured model, ascending.
-    /// Just the configured cut when the policy is fixed; every valid cut
-    /// otherwise. The policy *instance* is deliberately not here: each
-    /// scheme run builds its own [`crate::cut::CutSelector`] so learned
-    /// state never leaks across sessions or threads.
+    /// Just the configured cut when the cut is fixed; every valid cut
+    /// otherwise. The planner *instance* is deliberately not here: each
+    /// scheme run builds its own [`crate::orchestrator::PlanSelector`]
+    /// so learned state never leaks across sessions or threads.
     pub cut_candidates: Vec<usize>,
     /// Per-candidate cost profiles (always contains the configured cut).
     pub costs_by_cut: BTreeMap<usize, SplitCosts>,
@@ -138,16 +138,15 @@ impl TrainContext {
         let costs = SplitCosts::compute(&model, config.cut(), &sample_dims, config.batch_size)?
             .measured_with_compression(&config.compression, &mut codec_ws);
 
-        // Candidate cuts for per-round deciders (cut policy or
-        // orchestrator): just the configured cut when both are static,
-        // every valid split otherwise (with its cost profile, so
-        // per-round decisions never recompute FLOP counts).
-        let cut_candidates: Vec<usize> =
-            if config.cut_policy.is_fixed() && config.orchestrator.is_static() {
-                vec![config.cut()]
-            } else {
-                (1..model.depth()).collect()
-            };
+        // Candidate cuts for the per-round planner: just the configured
+        // cut when it never moves, every valid split otherwise (with its
+        // cost profile, so per-round decisions never recompute FLOP
+        // counts).
+        let cut_candidates: Vec<usize> = if config.fixed_cut() {
+            vec![config.cut()]
+        } else {
+            (1..model.depth()).collect()
+        };
         let mut costs_by_cut = BTreeMap::new();
         for &cut in &cut_candidates {
             let c = if cut == config.cut() {

@@ -401,47 +401,32 @@ pub fn fl_round(
     local_epochs: usize,
     round: u64,
 ) -> Result<RoundLatency> {
-    fl_round_planned(latency, costs, steps, local_epochs, round, None)
-}
-
-/// [`fl_round`] with an optional per-client bandwidth-share override
-/// from an orchestrator's [`crate::orchestrator::RoundPlan`]:
-/// `share_fracs[c]` is client `c`'s fraction of the round's total band
-/// (entries ≤ 0 fall back to the default equal split). `None` is exactly
-/// [`fl_round`].
-///
-/// # Errors
-///
-/// Propagates wireless model errors.
-pub fn fl_round_planned(
-    latency: &dyn ChannelModel,
-    costs: &SplitCosts,
-    steps: &[usize],
-    local_epochs: usize,
-    round: u64,
-    share_fracs: Option<&[f64]>,
-) -> Result<RoundLatency> {
     fl_round_recovered(
         latency,
         costs,
         steps,
         local_epochs,
         round,
-        share_fracs,
+        None,
         &RecoveryPlan::default(),
     )
     .map(|(latency, _)| latency)
 }
 
-/// [`fl_round_planned`] under a [`RecoveryPlan`]: mid-compute crashes
-/// (from the environment's [`ChannelModel::crash_point`] stream) charge
-/// a crashed client its broadcast plus its completed fraction of local
-/// work and drop its upload; an assigned backup then re-runs the slot's
-/// work on its own channel, serialized after the crash. A deadline
-/// truncates the round — in-flight updates at the cutoff are dropped.
-/// Returns the per-slot [`RoundFate`] alongside the priced latency;
-/// the default plan on a fault-free environment is exactly
-/// [`fl_round_planned`].
+/// [`fl_round`] under an orchestrator's
+/// [`crate::orchestrator::RoundPlan`] and a [`RecoveryPlan`].
+///
+/// The round plan may override bandwidth shares: `share_fracs[c]` is
+/// client `c`'s fraction of the round's total band (entries ≤ 0 fall
+/// back to the default equal split). Mid-compute crashes (from the
+/// environment's [`ChannelModel::crash_point`] stream) charge a crashed
+/// client its broadcast plus its completed fraction of local work and
+/// drop its upload; an assigned backup then re-runs the slot's work on
+/// its own channel, serialized after the crash. A deadline truncates
+/// the round — in-flight updates at the cutoff are dropped. Returns the
+/// per-slot [`RoundFate`] alongside the priced latency; `None` shares
+/// and the default plan on a fault-free environment are exactly
+/// [`fl_round`].
 ///
 /// # Errors
 ///
@@ -639,27 +624,6 @@ pub fn sl_round(
     mode: ChannelMode,
     round: u64,
 ) -> Result<RoundLatency> {
-    sl_round_planned(latency, costs, steps, order, mode, round, None)
-}
-
-/// [`sl_round`] with an optional per-client bandwidth-share override
-/// from an orchestrator's [`crate::orchestrator::RoundPlan`]:
-/// `share_fracs[c]` is client `c`'s fraction of the round's total band
-/// (entries ≤ 0 fall back to the channel-mode default). `None` is
-/// exactly [`sl_round`].
-///
-/// # Errors
-///
-/// Propagates wireless model errors.
-pub fn sl_round_planned(
-    latency: &dyn ChannelModel,
-    costs: &SplitCosts,
-    steps: &[usize],
-    order: &[usize],
-    mode: ChannelMode,
-    round: u64,
-    share_fracs: Option<&[f64]>,
-) -> Result<RoundLatency> {
     sl_round_recovered(
         latency,
         costs,
@@ -667,7 +631,7 @@ pub fn sl_round_planned(
         order,
         mode,
         round,
-        share_fracs,
+        None,
         &RecoveryPlan::default(),
     )
     .map(|(latency, _)| latency)
@@ -762,17 +726,22 @@ fn sl_segment(
     Ok(())
 }
 
-/// [`sl_round_planned`] under a [`RecoveryPlan`]: a crashed client is
-/// charged its model download plus its completed split steps (crash
-/// after ⌊progress · steps⌋ of them) and never hands the model back —
-/// the AP's previous checkpoint carries the chain onward, so the
-/// crashed client's contribution is simply lost. An assigned backup
-/// then re-runs the slot's full segment on its own channel. A deadline
-/// cuts the chain: clients whose segment has not completed by the
-/// cutoff are dropped (the one mid-segment at the cutoff keeps its
-/// charges; later clients never start). Returns the per-slot
-/// [`RoundFate`]; the default plan on a fault-free environment is
-/// exactly [`sl_round_planned`].
+/// [`sl_round`] under an orchestrator's
+/// [`crate::orchestrator::RoundPlan`] and a [`RecoveryPlan`].
+///
+/// The round plan may override bandwidth shares: `share_fracs[c]` is
+/// client `c`'s fraction of the round's total band (entries ≤ 0 fall
+/// back to the channel-mode default). A crashed client is charged its
+/// model download plus its completed split steps (crash after
+/// ⌊progress · steps⌋ of them) and never hands the model back — the
+/// AP's previous checkpoint carries the chain onward, so the crashed
+/// client's contribution is simply lost. An assigned backup then
+/// re-runs the slot's full segment on its own channel. A deadline cuts
+/// the chain: clients whose segment has not completed by the cutoff are
+/// dropped (the one mid-segment at the cutoff keeps its charges; later
+/// clients never start). Returns the per-slot [`RoundFate`]; `None`
+/// shares and the default plan on a fault-free environment are exactly
+/// [`sl_round`].
 ///
 /// # Errors
 ///
@@ -952,58 +921,30 @@ pub fn gsfl_round_with_schedule(
 }
 
 /// [`gsfl_round`] under an orchestrator's
-/// [`crate::orchestrator::RoundPlan`]: per-group cost profiles (hetero
-/// cuts give each group its own profile — SplitFed's singleton groups
-/// make that per-client) and an optional per-client bandwidth-share
-/// override (`share_fracs[c]` = client `c`'s fraction of the total band;
-/// entries ≤ 0 fall back to the dedicated share). Uniform costs plus
-/// `None` shares is exactly [`gsfl_round`].
+/// [`crate::orchestrator::RoundPlan`] and a [`RecoveryPlan`].
+///
+/// The round plan supplies per-group cost profiles (hetero cuts give
+/// each group its own profile — SplitFed's singleton groups make that
+/// per-client) and an optional per-client bandwidth-share override
+/// (`share_fracs[c]` = client `c`'s fraction of the total band; entries
+/// ≤ 0 fall back to the dedicated share). Under the recovery plan a
+/// crashed chain member is charged its model download plus its
+/// completed split steps, never relays, and the chain re-routes — the
+/// AP's last relayed checkpoint (the previous alive member's model)
+/// carries onward, so the next member's download simply follows the
+/// crash-detection gate, and when the *last* member crashes the group's
+/// contribution is the state its last alive member already relayed up
+/// (re-priced on that member's channel). An assigned backup instead
+/// re-runs the slot's chain position on its own channel. A deadline
+/// drops every group whose final upload has not landed by the cutoff.
+/// Returns the per-slot [`RoundFate`]; uniform costs, `None` shares and
+/// the default plan on a fault-free environment are exactly
+/// [`gsfl_round`].
 ///
 /// # Errors
 ///
 /// Propagates wireless/simulation errors; `group_costs` must have one
 /// entry per group.
-#[allow(clippy::too_many_arguments)]
-pub fn gsfl_round_planned(
-    latency: &dyn ChannelModel,
-    group_costs: &[SplitCosts],
-    steps: &[usize],
-    groups: &[Vec<usize>],
-    policy: BandwidthPolicy,
-    mode: ChannelMode,
-    round: u64,
-    share_fracs: Option<&[f64]>,
-) -> Result<RoundLatency> {
-    gsfl_round_inner(
-        latency,
-        group_costs,
-        steps,
-        groups,
-        policy,
-        mode,
-        round,
-        share_fracs,
-        &RecoveryPlan::default(),
-    )
-    .map(|(latency, _, _)| latency)
-}
-
-/// [`gsfl_round_planned`] under a [`RecoveryPlan`]: a crashed chain
-/// member is charged its model download plus its completed split steps,
-/// never relays, and the chain re-routes — the AP's last relayed
-/// checkpoint (the previous alive member's model) carries onward, so
-/// the next member's download simply follows the crash-detection gate,
-/// and when the *last* member crashes the group's contribution is the
-/// state its last alive member already relayed up (re-priced on that
-/// member's channel). An assigned backup instead re-runs the slot's
-/// chain position on its own channel. A deadline drops every group
-/// whose final upload has not landed by the cutoff. Returns the
-/// per-slot [`RoundFate`]; the default plan on a fault-free
-/// environment is exactly [`gsfl_round_planned`].
-///
-/// # Errors
-///
-/// Propagates wireless/simulation errors.
 #[allow(clippy::too_many_arguments)]
 pub fn gsfl_round_recovered(
     latency: &dyn ChannelModel,

@@ -121,7 +121,6 @@ pub mod aggregate;
 pub mod compression;
 pub mod config;
 pub mod context;
-pub mod cut;
 pub mod grouping;
 pub mod latency;
 pub mod orchestrator;

@@ -1,10 +1,11 @@
-//! Joint per-round orchestration: cut × bandwidth × codec × cohort.
+//! Per-round planning: cut × bandwidth × codec × cohort.
 //!
-//! The [`crate::cut`] module adapts exactly one knob — the split point.
-//! Real deployments tune several coupled knobs at once: where to cut,
-//! which codec to put on the wire, how to divide the band among the
-//! round's participants, and how many clients to admit at all. This
-//! module closes that joint loop:
+//! The paper fixes the split point once per experiment; the follow-up
+//! literature picks it from observed channel and compute conditions,
+//! and real deployments tune several coupled knobs at once: where to
+//! cut, which codec to put on the wire, how to divide the band among
+//! the round's participants, and how many clients to admit at all.
+//! This module is the one place those decisions are made:
 //!
 //! * [`Orchestrator`] — the per-round decision trait. Implementations
 //!   see a [`PlanQuery`] (live [`RoundConditions`], candidate cuts with
@@ -24,20 +25,20 @@
 //!   via [`Orchestrator::observe`] instead of trusting the estimator.
 //!
 //! Plans are applied by the schemes through [`PlanSelector`] (one per
-//! scheme run, like [`CutSelector`] — learned state never leaks across
-//! sessions). Every emitted plan is feasibility-checked by
-//! [`validate_plan`]: the cut must be a candidate, shares must be
-//! finite, non-negative and sum to ≤ 1, per-client cuts must be
-//! candidates, and the cohort must fit the round's participant count.
+//! scheme run — learned state never leaks across sessions). Every
+//! emitted plan is feasibility-checked by [`validate_plan`]: the cut
+//! must be a candidate, shares must be finite, non-negative and sum to
+//! ≤ 1, per-client cuts must be candidates, and the cohort must fit the
+//! round's participant count.
 //!
-//! Orchestrators are named in configs by [`OrchestratorSpec`] (serde).
-//! Non-static orchestrators require `momentum == 0` (optimizer velocity
-//! is not remappable across cuts) and the *fixed* cut policy — the
-//! orchestrator owns the per-round cut decision, and the config
-//! validation rejects a second decider rather than arbitrating.
+//! Configs name planners in two ways. [`OrchestratorSpec`] searches the
+//! joint space. [`CutPolicySpec`] runs the same greedy or bandit planner
+//! restricted to the cut axis: the configured codec, the legacy share
+//! split and no cohort cap. Any moving cut requires `momentum == 0`
+//! (optimizer velocity is not remappable across cuts), and a config may
+//! name at most one of the two — there is one planner per run.
 
 use crate::compression::CompressionSpec;
-use crate::cut::CutSelector;
 use crate::latency::SplitCosts;
 use gsfl_nn::codec::CodecSpec;
 use gsfl_tensor::rng::SeedDerive;
@@ -181,8 +182,7 @@ pub fn validate_plan(plan: &RoundPlan, q: &PlanQuery<'_>) -> crate::Result<()> {
 /// The baseline plan: configured cut, configured codec (the menu's first
 /// entry), no share/cohort/per-client overrides. Exists so the trait has
 /// a reference implementation; [`PlanSelector`] short-circuits the
-/// static path through [`CutSelector`] instead (which also covers
-/// adaptive *cut-only* policies).
+/// static path without building a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StaticPlan;
 
@@ -219,6 +219,36 @@ const SHARE_MODES: [ShareMode; 3] = [
     ShareMode::DemandWeighted,
 ];
 
+/// The knobs a planner searches: the joint cut × codec × share-mode
+/// product, or the cut alone at the configured codec (the menu's first
+/// entry) and the legacy share split. Both are prefixes of the joint
+/// axes, so arm indices mean the same thing under either scope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Scope {
+    #[default]
+    Joint,
+    CutOnly,
+}
+
+impl Scope {
+    fn codecs<'a>(self, q: &PlanQuery<'a>) -> &'a [CompressionSpec] {
+        match self {
+            Scope::Joint => q.codec_menu,
+            Scope::CutOnly => &q.codec_menu[..q.codec_menu.len().min(1)],
+        }
+    }
+
+    fn modes(self) -> &'static [ShareMode] {
+        match self {
+            Scope::Joint => &SHARE_MODES,
+            Scope::CutOnly => &SHARE_MODES[..1],
+        }
+    }
+}
+
+/// One planner arm: (cut, codec-menu index, share-mode index).
+type Arm = (usize, usize, usize);
+
 /// Clients that actually train this round: participants with steps.
 fn active(q: &PlanQuery<'_>) -> Vec<usize> {
     q.participants
@@ -242,8 +272,9 @@ fn share_for(q: &PlanQuery<'_>, shares: Option<&[f64]>, c: usize) -> Option<Hert
 
 /// Estimated latency of client `c`'s split chain at `share`: model
 /// download + `steps ×` (forward, smashed uplink, server pass, gradient
-/// downlink, backward). Mirrors [`crate::cut::GreedyLatency`] with the
-/// candidate codec's wire sizes.
+/// downlink, backward), at the candidate codec's wire sizes. Ignores
+/// server slot contention and group structure — it is a deliberately
+/// cheap estimator; [`BanditPlan`] learns what it misses.
 fn chain_estimate(q: &PlanQuery<'_>, costs: &SplitCosts, c: usize, share: Hertz) -> Option<f64> {
     let steps = q.steps.get(c).copied().unwrap_or(0);
     if steps == 0 {
@@ -360,10 +391,14 @@ const SWITCH_MARGIN: f64 = 0.1;
 /// beat its *current-round* estimate by a 10% margin to displace
 /// it. Shares are still recomputed from the live conditions every round
 /// — only the discrete (cut, codec, mode) choice is damped.
+///
+/// The cut-only variant ([`CutPolicySpec::Greedy`]) searches the cut
+/// alone, at the configured codec and legacy shares.
 #[derive(Debug, Default)]
 pub struct GreedyJoint {
     /// The committed (cut, codec-menu index, share-mode index) arm.
-    incumbent: Mutex<Option<(usize, usize, usize)>>,
+    incumbent: Mutex<Option<Arm>>,
+    scope: Scope,
 }
 
 impl GreedyJoint {
@@ -377,15 +412,15 @@ impl Orchestrator for GreedyJoint {
     fn plan(&self, q: &PlanQuery<'_>) -> RoundPlan {
         let fallback = || StaticPlan.plan(q);
         let held = *self.incumbent.lock().expect("greedy state lock");
-        let mut best: Option<(f64, (usize, usize, usize), RoundPlan)> = None;
+        let mut best: Option<(f64, Arm, RoundPlan)> = None;
         let mut held_now: Option<(f64, RoundPlan)> = None;
         for &cut in q.candidates {
             let Some(base) = q.costs.get(&cut) else {
                 continue;
             };
-            for (ki, codec) in q.codec_menu.iter().enumerate() {
+            for (ki, codec) in self.scope.codecs(q).iter().enumerate() {
                 let costs = base.with_compression(codec);
-                for (mi, mode) in SHARE_MODES.iter().enumerate() {
+                for (mi, mode) in self.scope.modes().iter().enumerate() {
                     let Some(shares) = mode_shares(q, &costs, *mode) else {
                         continue;
                     };
@@ -450,15 +485,15 @@ impl Orchestrator for GreedyJoint {
     }
 }
 
-/// One arm of the plan bandit: (cut, codec-menu index, share mode).
-type Arm = (usize, usize, usize);
-
 /// ε-greedy bandit over realized round latencies on the cut × codec ×
 /// share-mode arm space: explore a uniform random arm with probability ε
 /// (deterministic per round given the seed), otherwise exploit the
 /// lowest observed mean. Untried arms are explored first, in ascending
 /// (cut, codec, mode) order. Emits no per-client cuts — it learns the
 /// joint arm, not per-client structure.
+///
+/// The cut-only variant ([`CutPolicySpec::Bandit`]) plays one arm per
+/// candidate cut, at the configured codec and legacy shares.
 #[derive(Debug)]
 pub struct BanditPlan {
     epsilon: f64,
@@ -467,25 +502,31 @@ pub struct BanditPlan {
     arms: Mutex<BTreeMap<Arm, (u64, f64)>>,
     /// round → the arm played, pending its observation.
     pending: Mutex<BTreeMap<u64, Arm>>,
+    scope: Scope,
 }
 
 impl BanditPlan {
     /// A fresh bandit; `epsilon` is the exploration probability and
     /// `seed` makes the exploration schedule reproducible.
     pub fn new(epsilon: f64, seed: u64) -> Self {
+        BanditPlan::scoped(epsilon, seed, Scope::Joint)
+    }
+
+    fn scoped(epsilon: f64, seed: u64, scope: Scope) -> Self {
         BanditPlan {
             epsilon,
             seeds: SeedDerive::new(seed).child("orchestrator-bandit"),
             arms: Mutex::new(BTreeMap::new()),
             pending: Mutex::new(BTreeMap::new()),
+            scope,
         }
     }
 
-    fn arm_space(q: &PlanQuery<'_>) -> Vec<Arm> {
+    fn arm_space(&self, q: &PlanQuery<'_>) -> Vec<Arm> {
         let mut v = Vec::new();
         for &cut in q.candidates {
-            for ci in 0..q.codec_menu.len() {
-                for mi in 0..SHARE_MODES.len() {
+            for ci in 0..self.scope.codecs(q).len() {
+                for mi in 0..self.scope.modes().len() {
                     v.push((cut, ci, mi));
                 }
             }
@@ -510,7 +551,7 @@ impl BanditPlan {
 
 impl Orchestrator for BanditPlan {
     fn plan(&self, q: &PlanQuery<'_>) -> RoundPlan {
-        let space = BanditPlan::arm_space(q);
+        let space = self.arm_space(q);
         if space.is_empty() {
             return StaticPlan.plan(q);
         }
@@ -594,6 +635,44 @@ impl OrchestratorSpec {
     }
 }
 
+/// Serde-loadable cut-policy names for experiment configs: the
+/// orchestrator's planners restricted to the cut axis.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+pub enum CutPolicySpec {
+    /// The configured cut every round (the paper's behavior) — default.
+    #[default]
+    Fixed,
+    /// [`GreedyJoint`] over the cut alone.
+    Greedy,
+    /// [`BanditPlan`] over the cut alone.
+    Bandit {
+        /// Exploration probability in `[0, 1]`.
+        epsilon: f64,
+    },
+}
+
+impl CutPolicySpec {
+    /// Whether this is the fixed (non-adaptive) policy.
+    pub fn is_fixed(&self) -> bool {
+        matches!(self, CutPolicySpec::Fixed)
+    }
+
+    /// Builds the cut-only planner, or `None` for the fixed path; `seed`
+    /// drives any stochastic exploration.
+    pub fn policy(&self, seed: u64) -> Option<Box<dyn Orchestrator>> {
+        match *self {
+            CutPolicySpec::Fixed => None,
+            CutPolicySpec::Greedy => Some(Box::new(GreedyJoint {
+                scope: Scope::CutOnly,
+                ..GreedyJoint::default()
+            })),
+            CutPolicySpec::Bandit { epsilon } => {
+                Some(Box::new(BanditPlan::scoped(epsilon, seed, Scope::CutOnly)))
+            }
+        }
+    }
+}
+
 /// The codec menu a planner may choose from: the configured spec first,
 /// then the near-lossless compressive options (uniform fp16 and int8
 /// quantization) and an aggressive error-feedback arm (int8 at the cut
@@ -620,35 +699,37 @@ pub fn codec_menu(base: &CompressionSpec) -> Vec<CompressionSpec> {
     menu
 }
 
-/// Per-run plan-selection state: one orchestrator instance per scheme
-/// run, wrapping a [`CutSelector`] for the static path (so adaptive
-/// *cut-only* policies keep working under the static orchestrator).
+/// Per-run plan-selection state: the run's one planner (a joint
+/// orchestrator or a cut-only policy), or none on the static path.
 /// Built in each scheme's [`crate::scheme::Scheme::init`], **not** in
 /// the shared context — learning planners accumulate observations, and
 /// sharing that state would break run independence and determinism.
 #[derive(Debug)]
 pub struct PlanSelector {
-    cuts: CutSelector,
-    orch: Option<Box<dyn Orchestrator>>,
+    planner: Option<Box<dyn Orchestrator>>,
     base_codec: CompressionSpec,
 }
 
 impl PlanSelector {
     /// A fresh selector for one scheme run, from the config's
-    /// orchestrator spec (seeded by the experiment seed).
+    /// orchestrator or cut-policy spec (seeded by the experiment seed;
+    /// config validation admits at most one of the two).
     pub fn from_config(config: &crate::config::ExperimentConfig) -> Self {
         PlanSelector {
-            cuts: CutSelector::from_config(config),
-            orch: config.orchestrator.orchestrator(config.seed),
+            planner: config
+                .orchestrator
+                .orchestrator(config.seed)
+                .or_else(|| config.cut_policy.policy(config.seed)),
             base_codec: config.compression,
         }
     }
 
     /// Resolves the round's plan and the cost profile of its chosen cut
-    /// under its chosen codec. The static orchestrator short-circuits
-    /// through the [`CutSelector`] (configured codec, no overrides) —
-    /// byte-identical to the pre-orchestrator behavior; planners consult
-    /// the round's conditions and are feasibility-checked.
+    /// under its chosen codec. The static path short-circuits to the
+    /// configured cut, codec and cached costs without querying the
+    /// environment — byte-identical to the pre-orchestrator behavior;
+    /// planners consult the round's conditions and are
+    /// feasibility-checked.
     ///
     /// # Errors
     ///
@@ -659,21 +740,16 @@ impl PlanSelector {
         ctx: &crate::context::TrainContext,
         round: u64,
     ) -> crate::Result<(RoundPlan, SplitCosts)> {
-        let Some(orch) = &self.orch else {
-            let (cut, costs) = self.cuts.cut_for_round(ctx, round)?;
-            // Adaptive cut policies also refine per client (the
-            // `CutPolicy::choose_for` hook); the fixed policy yields
-            // `None` and every client trains at the configured cut.
-            let client_cuts = self.cuts.client_cuts_for_round(ctx, round)?;
+        let Some(planner) = &self.planner else {
             return Ok((
                 RoundPlan {
-                    cut,
-                    client_cuts,
+                    cut: ctx.config.cut(),
+                    client_cuts: None,
                     shares: None,
                     codec: self.base_codec,
                     cohort: None,
                 },
-                costs,
+                ctx.costs,
             ));
         };
         let conditions = ctx.conditions(round)?;
@@ -690,7 +766,7 @@ impl PlanSelector {
             steps: &steps,
             participants: &participants,
         };
-        let plan = orch.plan(&q);
+        let plan = planner.plan(&q);
         validate_plan(&plan, &q)?;
         let costs = ctx
             .costs_by_cut
@@ -706,12 +782,11 @@ impl PlanSelector {
         Ok((plan, costs))
     }
 
-    /// Feeds a round's realized latency back to the planner (or to the
-    /// cut policy on the static path).
+    /// Feeds a round's realized latency back to the planner (a no-op on
+    /// the static path).
     pub fn observe(&self, round: u64, plan: &RoundPlan, latency_s: f64) {
-        match &self.orch {
-            Some(orch) => orch.observe(round, plan, latency_s),
-            None => self.cuts.observe(round, plan.cut, latency_s),
+        if let Some(planner) = &self.planner {
+            planner.observe(round, plan, latency_s);
         }
     }
 
@@ -847,7 +922,7 @@ mod tests {
         let bandit = BanditPlan::new(0.0, 7);
         let space = {
             let cond = f.env.conditions(0).unwrap();
-            BanditPlan::arm_space(&query(&f, &cond))
+            bandit.arm_space(&query(&f, &cond))
         };
         // Every arm is tried once, in order.
         for (i, &expect) in space.iter().enumerate() {
@@ -879,6 +954,86 @@ mod tests {
                     let cond = f.env.conditions(r).unwrap();
                     let q = query(&f, &cond);
                     let plan = bandit.plan(&q);
+                    bandit.observe(r, &plan, 1.0 + plan.cut as f64);
+                    plan.cut
+                })
+                .collect()
+        };
+        assert_eq!(run(3), run(3));
+        assert_ne!(run(3), run(4), "different seeds explore differently");
+    }
+
+    #[test]
+    fn cut_only_plans_hold_the_configured_codec_and_shares() {
+        let f = fixture();
+        assert!(CutPolicySpec::Fixed.policy(1).is_none());
+        for spec in [
+            CutPolicySpec::Greedy,
+            CutPolicySpec::Bandit { epsilon: 0.5 },
+        ] {
+            let planner = spec.policy(1).expect("adaptive policies plan");
+            for round in 0..12 {
+                let cond = f.env.conditions(round).unwrap();
+                let q = query(&f, &cond);
+                let plan = planner.plan(&q);
+                validate_plan(&plan, &q).unwrap();
+                assert_eq!(plan.shares, None, "{spec:?} round {round}");
+                assert_eq!(plan.cohort, None, "{spec:?} round {round}");
+                assert_eq!(plan.codec, f.menu[0], "{spec:?} round {round}");
+                planner.observe(round, &plan, 1.0 + plan.cut as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_cut_only_greedy_minimizes_round_and_per_client_estimates() {
+        let mut f = fixture();
+        // Client 2 trains far more than the others, so its own argmin
+        // need not be the round's.
+        f.steps = vec![1, 1, 9];
+        let cond = f.env.conditions(1).unwrap();
+        let q = query(&f, &cond);
+        let plan = CutPolicySpec::Greedy.policy(0).unwrap().plan(&q);
+        let costs = |cut: usize| f.costs[&cut].with_compression(&f.menu[0]);
+        let round_est = |cut| straggler_estimate(&q, &costs(cut), None).unwrap();
+        for &cut in &f.candidates {
+            assert!(round_est(plan.cut) <= round_est(cut) + 1e-12, "cut {cut}");
+        }
+        let client_cuts = plan.client_cuts.expect("greedy refines per client");
+        let share = cond.dedicated_share();
+        for (c, &chosen) in client_cuts.iter().enumerate() {
+            let own_est = |cut| chain_estimate(&q, &costs(cut), c, share).unwrap();
+            for &cut in &f.candidates {
+                assert!(
+                    own_est(chosen) <= own_est(cut) + 1e-12,
+                    "client {c} cut {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cut_only_bandit_tries_cuts_in_order_then_exploits() {
+        let f = fixture();
+        let bandit = CutPolicySpec::Bandit { epsilon: 0.0 }.policy(7).unwrap();
+        // One arm per candidate cut, tried in ascending order.
+        for (i, &expect) in f.candidates.iter().enumerate() {
+            let cond = f.env.conditions(i as u64).unwrap();
+            let plan = bandit.plan(&query(&f, &cond));
+            assert_eq!(plan.cut, expect, "round {i}");
+            assert!(plan.client_cuts.is_none(), "the bandit learns one cut");
+            // Deeper cuts look slower, so the shallowest wins.
+            bandit.observe(i as u64, &plan, expect as f64);
+        }
+        let cond = f.env.conditions(f.candidates.len() as u64).unwrap();
+        assert_eq!(bandit.plan(&query(&f, &cond)).cut, f.candidates[0]);
+
+        let run = |seed: u64| -> Vec<usize> {
+            let bandit = CutPolicySpec::Bandit { epsilon: 0.5 }.policy(seed).unwrap();
+            (0..20u64)
+                .map(|r| {
+                    let cond = f.env.conditions(r).unwrap();
+                    let plan = bandit.plan(&query(&f, &cond));
                     bandit.observe(r, &plan, 1.0 + plan.cut as f64);
                     plan.cut
                 })
@@ -933,6 +1088,8 @@ mod tests {
         let json = serde_json::to_string(&OrchestratorSpec::Bandit { epsilon: 0.2 }).unwrap();
         let back: OrchestratorSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, OrchestratorSpec::Bandit { epsilon: 0.2 });
+        assert!(CutPolicySpec::Fixed.is_fixed());
+        assert!(!CutPolicySpec::Bandit { epsilon: 0.2 }.is_fixed());
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl Scheme for Gsfl {
         let cfg = &ctx.config;
         // The plan selector picks this round's joint cut × codec ×
         // shares decision from the live conditions (the static path
-        // short-circuits to the config through the cut policy).
+        // short-circuits to the config).
         let (plan, costs) = state.plans.plan_for_round(ctx, round as u64)?;
         // Split the current global model at the chosen cut: parameters
         // are preserved across the split, so replicas start from the

@@ -19,12 +19,12 @@ use gsfl_nn::Sequential;
 /// client-side model through the AP relay. No aggregation — the model
 /// state simply accumulates SGD steps as it visits every client.
 ///
-/// Under the fixed cut policy the split (and its optimizers, including
-/// any momentum state) persists across rounds exactly as before. Under
-/// an adaptive [`crate::cut::CutPolicy`] the model is re-split at each
-/// round's chosen cut; the config validation guarantees `momentum == 0`
-/// there, so per-round optimizers are state-free and nothing is lost in
-/// the re-split.
+/// Under a fixed cut the split (and its optimizers, including any
+/// momentum state) persists across rounds exactly as before. When a
+/// planner moves the cut the model is re-split at each round's chosen
+/// cut; the config validation guarantees `momentum == 0` there, so
+/// per-round optimizers are state-free and nothing is lost in the
+/// re-split.
 #[derive(Debug, Default)]
 pub struct VanillaSplit {
     state: Option<State>,
@@ -33,8 +33,7 @@ pub struct VanillaSplit {
 #[derive(Debug)]
 struct State {
     mode: Mode,
-    /// This run's private plan-selection state (cut policy and/or
-    /// orchestrator).
+    /// This run's private plan-selection state.
     plans: PlanSelector,
     steps: Vec<usize>,
     /// Per-client EF21 residuals for the relay-hop model codec,
@@ -53,7 +52,7 @@ enum Mode {
         server_opt: Sgd,
     },
     /// Adaptive cuts: the full model travels between rounds; each round
-    /// splits it at the policy's cut.
+    /// splits it at the planner's cut.
     Adaptive {
         template: Sequential,
         global: ParamVec,
@@ -77,9 +76,8 @@ impl Scheme for VanillaSplit {
         let net = cfg
             .model
             .build(&ctx.sample_dims, cfg.dataset.classes, cfg.seed)?;
-        // The persistent-split fast path needs the cut to never move:
-        // both the cut policy and the orchestrator must be static.
-        let mode = if cfg.cut_policy.is_fixed() && cfg.orchestrator.is_static() {
+        // The persistent-split fast path needs the cut to never move.
+        let mode = if cfg.fixed_cut() {
             Mode::Fixed {
                 split: SplitNetwork::split(net, cfg.cut())?,
                 client_opt: make_opt(cfg),

@@ -8,7 +8,8 @@ use gsfl_core::config::GroupingKind;
 use gsfl_core::grouping::{assign_groups, ClientCost};
 use gsfl_core::latency::{gsfl_round, sl_round, ChannelMode, SplitCosts};
 use gsfl_core::orchestrator::{
-    codec_menu, validate_plan, BanditPlan, GreedyJoint, Orchestrator, PlanQuery, StaticPlan,
+    codec_menu, validate_plan, BanditPlan, CutPolicySpec, GreedyJoint, Orchestrator, PlanQuery,
+    StaticPlan,
 };
 use gsfl_core::population::{Population, PopulationConfig};
 use gsfl_nn::model::Mlp;
@@ -49,11 +50,12 @@ fn makespan_opt_upper(costs: &[ClientCost], groups: usize, lower: f64) -> f64 {
     lower + max_cost
 }
 
-/// Every orchestrator implementation, queried over random fleet sizes,
-/// seeds and rounds, must emit a plan that passes `validate_plan`: cut ∈
-/// candidates, per-client cuts ∈ candidates, shares finite/non-negative
-/// summing to ≤ 1 with positive entries for active participants, cohort
-/// within the participant count.
+/// Every planner — the joint orchestrators and their cut-only
+/// restrictions — queried over random fleet sizes, seeds and rounds,
+/// must emit a plan that passes `validate_plan`: cut ∈ candidates,
+/// per-client cuts ∈ candidates, shares finite/non-negative summing to
+/// ≤ 1 with positive entries for active participants, cohort within the
+/// participant count.
 fn orchestrator_plan_is_feasible(
     clients: usize,
     seed: u64,
@@ -72,10 +74,16 @@ fn orchestrator_plan_is_feasible(
     let participants: Vec<usize> = (0..clients).collect();
     let bandit = BanditPlan::new(epsilon, seed);
     let greedy = GreedyJoint::new();
-    let planners: [(&str, &dyn Orchestrator); 3] = [
+    let cut_greedy = CutPolicySpec::Greedy.policy(seed).expect("adaptive");
+    let cut_bandit = CutPolicySpec::Bandit { epsilon }
+        .policy(seed)
+        .expect("adaptive");
+    let planners: [(&str, &dyn Orchestrator); 5] = [
         ("static", &StaticPlan),
         ("greedy", &greedy),
         ("bandit", &bandit),
+        ("cut-only greedy", cut_greedy.as_ref()),
+        ("cut-only bandit", cut_bandit.as_ref()),
     ];
     for (name, planner) in planners {
         // Ask across a few consecutive rounds so stateful planners

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example adaptive_cut_sweep`
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
-use gsfl::core::cut::CutPolicySpec;
+use gsfl::core::orchestrator::CutPolicySpec;
 use gsfl::core::results::RunResult;
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;

@@ -3,7 +3,7 @@
 //! condition-aware policies never lose to the worst fixed cut.
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
-use gsfl::core::cut::CutPolicySpec;
+use gsfl::core::orchestrator::CutPolicySpec;
 use gsfl::core::results::RunResult;
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
