@@ -12,7 +12,7 @@
 use gsfl_bench::paper_config;
 use gsfl_core::context::TrainContext;
 use gsfl_core::latency::{gsfl_round, sl_round};
-use gsfl_wireless::Scenario;
+use gsfl_wireless::{Direction, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = paper_config(false).rounds(1);
@@ -59,14 +59,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let c = 0usize;
     let probe = &cond.clients[c];
     let ap = probe.ap;
-    let cf = env.client_compute(c, costs.client_fwd_flops, 0)?;
-    let cb = env.client_compute(c, costs.client_bwd_flops, 0)?;
+    let cf = probe.compute_time(costs.client_fwd_flops);
+    let cb = probe.compute_time(costs.client_bwd_flops);
     let sv = env.server_compute_at(ap, costs.server_flops);
-    let ul_full = env.uplink_time(c, costs.smashed_bytes, 0, full)?;
-    let dl_full = env.downlink_time(c, costs.grad_bytes, 0, full)?;
+    let up = |share| env.link(&cond, c, Direction::Uplink, share, &[]);
+    let down = |share| env.link(&cond, c, Direction::Downlink, share, &[]);
+    let ul_full = up(full)?.time(costs.smashed_bytes)?;
+    let dl_full = down(full)?.time(costs.grad_bytes)?;
     let share = cond.dedicated_share();
-    let ul_share = env.uplink_time(c, costs.smashed_bytes, 0, share)?;
-    let dl_share = env.downlink_time(c, costs.grad_bytes, 0, share)?;
+    let ul_share = up(share)?.time(costs.smashed_bytes)?;
+    let dl_share = down(share)?.time(costs.grad_bytes)?;
     println!(
         "\nper-step timings, client 0 (distance {:.0} m, device {:.2} GFLOP/s, AP {ap}):",
         probe.distance.as_meters(),
@@ -90,12 +92,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  relay (model, B)     : {:.4}s",
-        env.uplink_time(c, costs.client_model_bytes, 0, full)?
-            .as_secs_f64()
+        up(full)?.time(costs.client_model_bytes)?.as_secs_f64()
     );
     println!(
         "  fl model ul (B/30)   : {:.4}s",
-        env.uplink_time(c, costs.full_model_bytes, 0, full.fraction(1.0 / 30.0))?
+        up(full.fraction(1.0 / 30.0))?
+            .time(costs.full_model_bytes)?
             .as_secs_f64()
     );
 

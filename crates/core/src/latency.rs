@@ -10,11 +10,12 @@
 //!   share from the configured [`BandwidthPolicy`].
 //!
 //! Both calculators consume the wireless layer exclusively through the
-//! [`ChannelModel`] trait: each round they take a [`RoundConditions`]
-//! snapshot (that round's bandwidth and availability) for the share math
-//! and charge per-task times via the trait's per-round queries, so
-//! time-varying environments (mobility, diurnal bandwidth, stragglers)
-//! plug in without touching this module.
+//! [`ChannelModel`] trait: each round they take one [`RoundConditions`]
+//! snapshot and price everything from it — the share math, each
+//! client's up and down [`Link`] (priced once per client, then charged
+//! per payload) and its compute time. Time-varying environments
+//! (mobility, diurnal bandwidth, stragglers) plug in without touching
+//! this module.
 //!
 //! On contention-free configurations the DES reproduces the closed forms
 //! exactly (see the property tests in `tests/`).
@@ -26,7 +27,9 @@ use gsfl_nn::split::SplitNetwork;
 use gsfl_nn::Sequential;
 use gsfl_simnet::{Schedule, SimTime, Simulator, TaskGraph};
 use gsfl_wireless::allocation::{allocate, BandwidthPolicy, LinkDemand};
-use gsfl_wireless::environment::{ChannelModel, RoundConditions};
+use gsfl_wireless::environment::{
+    ChannelModel, ClientConditions, Direction, Link, RoundConditions,
+};
 use gsfl_wireless::units::{Bytes, Hertz, Seconds};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -363,6 +366,34 @@ impl FaultMeter {
     }
 }
 
+/// One client's round state and its two links, priced once at its share
+/// against the `concurrent` transmitters. Every transfer and compute step
+/// the client makes in a round is charged from these, as is every
+/// planner estimate at one share vector.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClientLinks {
+    pub(crate) state: ClientConditions,
+    pub(crate) up: Link,
+    pub(crate) down: Link,
+}
+
+impl ClientLinks {
+    /// Prices `client`'s links at `share` over the snapshot `cond`.
+    pub(crate) fn price(
+        env: &dyn ChannelModel,
+        cond: &RoundConditions,
+        client: usize,
+        share: Hertz,
+        concurrent: &[usize],
+    ) -> gsfl_wireless::Result<Self> {
+        Ok(ClientLinks {
+            state: *cond.client(client)?,
+            up: env.link(cond, client, Direction::Uplink, share, concurrent)?,
+            down: env.link(cond, client, Direction::Downlink, share, concurrent)?,
+        })
+    }
+}
+
 /// Closed-form CL round: one epoch of centralized SGD on the server
 /// (one slot), no wireless traffic.
 pub fn cl_round(
@@ -471,18 +502,18 @@ pub fn fl_round_recovered(
     for &c in &participants {
         let s = steps[c];
         let share = share_of(c);
-        let others: Vec<usize> = participants.iter().copied().filter(|&o| o != c).collect();
         // All participants receive the broadcast concurrently, so the
-        // downlink pays SINR against the cohort just like the uplink.
-        // The broadcast itself is fp32 — only the *upload* is encoded
-        // (the aggregated global is never transcoded, so charging a
+        // downlink pays SINR against the cohort just like the uplink
+        // (link pricing skips `c` itself in `participants`). The
+        // broadcast itself is fp32 — only the *upload* is encoded (the
+        // aggregated global is never transcoded, so charging a
         // compressed downlink would save airtime the accuracy never
         // paid for).
-        let dl_air =
-            latency.downlink_time_among(c, costs.full_model_bytes, round, share, &others)?;
+        let l = ClientLinks::price(latency, &cond, c, share, &participants)?;
+        let dl_air = l.down.time(costs.full_model_bytes)?;
         let dl = meter.price(latency, c, round, dl_air, costs.full_model_bytes);
         let compute_flops = costs.full_flops * (s * local_epochs) as u64;
-        let compute = latency.client_compute(c, compute_flops, round)?;
+        let compute = l.state.compute_time(compute_flops);
         bytes.down += costs.full_model_bytes.as_u64();
         bytes.raw_down += costs.full_model_bytes.as_u64();
         breakdown.downlink_s += dl.time.as_secs_f64();
@@ -499,24 +530,15 @@ pub fn fl_round_recovered(
             let mut delivers = false;
             if let Some(b) = recovery.backup_for(c) {
                 // The standby re-runs the slot's work on its own channel,
-                // serialized after the crash is detected.
-                let b_dl_air = latency.downlink_time_among(
-                    b.client,
-                    costs.full_model_bytes,
-                    round,
-                    share_of(b.client),
-                    &others,
-                )?;
+                // serialized after the crash is detected, heard against
+                // the rest of the cohort.
+                let others: Vec<usize> = participants.iter().copied().filter(|&o| o != c).collect();
+                let bl = ClientLinks::price(latency, &cond, b.client, share_of(b.client), &others)?;
+                let b_dl_air = bl.down.time(costs.full_model_bytes)?;
                 let b_dl = meter.price(latency, b.client, round, b_dl_air, costs.full_model_bytes);
                 let b_flops = costs.full_flops * (b.steps * local_epochs) as u64;
-                let b_compute = latency.client_compute(b.client, b_flops, round)?;
-                let b_ul_air = latency.uplink_time_among(
-                    b.client,
-                    costs.full_model_wire_bytes,
-                    round,
-                    share_of(b.client),
-                    &others,
-                )?;
+                let b_compute = bl.state.compute_time(b_flops);
+                let b_ul_air = bl.up.time(costs.full_model_wire_bytes)?;
                 let b_ul = meter.price(
                     latency,
                     b.client,
@@ -541,8 +563,7 @@ pub fn fl_round_recovered(
             }
             paths.push((c, done, delivers));
         } else {
-            let ul_air =
-                latency.uplink_time_among(c, costs.full_model_wire_bytes, round, share, &others)?;
+            let ul_air = l.up.time(costs.full_model_wire_bytes)?;
             let ul = meter.price(latency, c, round, ul_air, costs.full_model_wire_bytes);
             bytes.up += costs.full_model_wire_bytes.as_u64();
             bytes.raw_up += costs.full_model_bytes.as_u64();
@@ -586,7 +607,7 @@ pub fn fl_round_recovered(
     // over its backhaul (free when the environment prices no backhaul).
     let mut aps = Vec::with_capacity(participants.len());
     for &c in &participants {
-        aps.push(latency.ap_of(c, round)?);
+        aps.push(cond.client(c)?.ap);
     }
     let backhaul = backhaul_charge(latency, &aps, costs.full_model_bytes);
     breakdown.backhaul_s += backhaul.charged_s;
@@ -650,41 +671,43 @@ struct SlAccumulator {
 
 /// Prices one client's SL chain segment: model-down, `run_steps`
 /// split-training steps, and (unless the client crashes) the model-up
-/// handoff. Wire transfers go through the fault meter.
+/// handoff, from the round snapshot `cond`. Wire transfers go through
+/// the fault meter.
 #[allow(clippy::too_many_arguments)]
 fn sl_segment(
     latency: &dyn ChannelModel,
+    cond: &RoundConditions,
     costs: &SplitCosts,
     c: usize,
     run_steps: usize,
     crashes: bool,
     share: Hertz,
-    round: u64,
     meter: &mut FaultMeter,
     acc: &mut SlAccumulator,
 ) -> Result<()> {
     let power = *latency.power();
+    let round = cond.round;
+    // SL is strictly sequential — one transmitter at a time — so no
+    // co-channel interference applies.
+    let l = ClientLinks::price(latency, cond, c, share, &[])?;
     // Model arrives at this client (from the AP relay). The AP
     // decoded the previous client's encoded upload and relays the
     // model onward in fp32, so the downlink is charged raw.
-    let model_dl_air = latency.downlink_time(c, costs.client_model_bytes, round, share)?;
+    let model_dl_air = l.down.time(costs.client_model_bytes)?;
     let model_dl = meter.price(latency, c, round, model_dl_air, costs.client_model_bytes);
     acc.total += model_dl.time;
     acc.energy += power.rx_energy(model_dl.air).as_joules();
     acc.bytes.down += costs.client_model_bytes.as_u64();
     acc.bytes.raw_down += costs.client_model_bytes.as_u64();
     acc.breakdown.downlink_s += model_dl.time.as_secs_f64();
-    // Split-training steps. SL is strictly sequential — one
-    // transmitter at a time — so no co-channel interference applies.
     for _ in 0..run_steps {
-        let fwd = latency.client_compute(c, costs.client_fwd_flops, round)?;
-        let ul_air = latency.uplink_time(c, costs.smashed_wire_bytes, round, share)?;
+        let fwd = l.state.compute_time(costs.client_fwd_flops);
+        let ul_air = l.up.time(costs.smashed_wire_bytes)?;
         let ul = meter.price(latency, c, round, ul_air, costs.smashed_wire_bytes);
-        let dl_air = latency.downlink_time(c, costs.grad_wire_bytes, round, share)?;
+        let dl_air = l.down.time(costs.grad_wire_bytes)?;
         let dl = meter.price(latency, c, round, dl_air, costs.grad_wire_bytes);
-        let bwd = latency.client_compute(c, costs.client_bwd_flops, round)?;
-        let ap = latency.ap_of(c, round)?;
-        let srv = latency.server_compute_at(ap, costs.server_flops);
+        let bwd = l.state.compute_time(costs.client_bwd_flops);
+        let srv = latency.server_compute_at(l.state.ap, costs.server_flops);
         acc.total += fwd + ul.time + srv + dl.time + bwd;
         acc.bytes.up += costs.smashed_wire_bytes.as_u64();
         acc.bytes.down += costs.grad_wire_bytes.as_u64();
@@ -710,7 +733,7 @@ fn sl_segment(
         return Ok(());
     }
     // Hand the client-side model back to the AP for the next client.
-    let model_ul_air = latency.uplink_time(c, costs.client_model_wire_bytes, round, share)?;
+    let model_ul_air = l.up.time(costs.client_model_wire_bytes)?;
     let model_ul = meter.price(
         latency,
         c,
@@ -787,12 +810,12 @@ pub fn sl_round_recovered(
             let done = ((f * steps[c] as f64) as usize).min(steps[c]);
             sl_segment(
                 latency,
+                &cond,
                 costs,
                 c,
                 done,
                 true,
                 share_of(c),
-                round,
                 &mut meter,
                 &mut acc,
             )?;
@@ -802,12 +825,12 @@ pub fn sl_round_recovered(
                 // channel, serialized after the crash.
                 sl_segment(
                     latency,
+                    &cond,
                     costs,
                     b.client,
                     b.steps,
                     false,
                     share_of(b.client),
-                    round,
                     &mut meter,
                     &mut acc,
                 )?;
@@ -817,12 +840,12 @@ pub fn sl_round_recovered(
         } else {
             sl_segment(
                 latency,
+                &cond,
                 costs,
                 c,
                 steps[c],
                 false,
                 share_of(c),
-                round,
                 &mut meter,
                 &mut acc,
             )?;
@@ -979,11 +1002,8 @@ fn gsfl_member_steps(
     latency: &dyn ChannelModel,
     gc: &SplitCosts,
     gi: usize,
-    c: usize,
+    m: &ClientLinks,
     n_steps: usize,
-    interferers: &[usize],
-    share: Hertz,
-    ap: usize,
     round: u64,
     g: &mut TaskGraph,
     server: gsfl_simnet::ResourceId,
@@ -995,19 +1015,19 @@ fn gsfl_member_steps(
     server_tasks: &mut Vec<(gsfl_simnet::TaskId, gsfl_simnet::TaskId)>,
 ) -> Result<Option<gsfl_simnet::TaskId>> {
     let power = *latency.power();
+    let c = m.state.client;
     for s in 0..n_steps {
-        let fwd_t = latency.client_compute(c, gc.client_fwd_flops, round)?;
+        let fwd_t = m.state.compute_time(gc.client_fwd_flops);
         let cf = g.add_task(
             format!("g{gi}/c{c}/fwd{s}"),
             to_sim(fwd_t),
             None,
             prev.as_slice(),
         )?;
-        let ul_air =
-            latency.uplink_time_among(c, gc.smashed_wire_bytes, round, share, interferers)?;
+        let ul_air = m.up.time(gc.smashed_wire_bytes)?;
         let ul_t = meter.price(latency, c, round, ul_air, gc.smashed_wire_bytes);
         let ul = g.add_task(format!("g{gi}/c{c}/up{s}"), to_sim(ul_t.time), None, &[cf])?;
-        let srv_t = latency.server_compute_at(ap, gc.server_flops);
+        let srv_t = latency.server_compute_at(m.state.ap, gc.server_flops);
         let sv = g.add_task(
             format!("g{gi}/c{c}/srv{s}"),
             to_sim(srv_t),
@@ -1015,8 +1035,7 @@ fn gsfl_member_steps(
             &[ul],
         )?;
         server_tasks.push((sv, ul));
-        let dl_air =
-            latency.downlink_time_among(c, gc.grad_wire_bytes, round, share, interferers)?;
+        let dl_air = m.down.time(gc.grad_wire_bytes)?;
         let dl_t = meter.price(latency, c, round, dl_air, gc.grad_wire_bytes);
         let dl = g.add_task(
             format!("g{gi}/c{c}/down{s}"),
@@ -1024,7 +1043,7 @@ fn gsfl_member_steps(
             None,
             &[sv],
         )?;
-        let bwd_t = latency.client_compute(c, gc.client_bwd_flops, round)?;
+        let bwd_t = m.state.compute_time(gc.client_bwd_flops);
         let cb = g.add_task(format!("g{gi}/c{c}/bwd{s}"), to_sim(bwd_t), None, &[dl])?;
         bytes.up += gc.smashed_wire_bytes.as_u64();
         bytes.down += gc.grad_wire_bytes.as_u64();
@@ -1074,7 +1093,7 @@ fn gsfl_round_inner(
             ChannelMode::Dedicated => vec![cond.dedicated_share(); m],
             // Active groups split the band per the policy.
             ChannelMode::SharedPool => {
-                group_shares(latency, &cond, group_costs, steps, groups, policy, round)?
+                group_shares(latency, &cond, group_costs, steps, groups, policy)?
             }
         },
     };
@@ -1085,6 +1104,14 @@ fn gsfl_round_inner(
         Some(f) if f.get(c).copied().unwrap_or(0.0) > 0.0 => cond.bandwidth.fraction(f[c]),
         Some(_) => cond.dedicated_share(),
         None => shares[gi],
+    };
+    // Client `c` at chain position `j` of group `gi`: while it transmits
+    // or receives, every other active group has a member of its own on
+    // the air, so its links pay SINR against the same-position
+    // representative of each other group.
+    let member = |gi: usize, j: usize, c: usize| {
+        let interferers = co_transmitters(groups, gi, j);
+        ClientLinks::price(latency, &cond, c, member_share(gi, c), &interferers)
     };
 
     let power = *latency.power();
@@ -1121,33 +1148,28 @@ fn gsfl_round_inner(
         let gc = &group_costs[gi];
         let mut prev: Option<gsfl_simnet::TaskId> = None;
         // The alive member whose trained model has not yet been relayed
-        // to the AP, with its chain position (for interferer lookup).
-        // `None` after a crash: the AP's newest checkpoint already
-        // arrived with the previous relay, so the chain re-routes
-        // without a new hop.
-        let mut pending: Option<(usize, usize)> = None;
+        // to the AP (its uplink priced at its chain position). `None`
+        // after a crash: the AP's newest checkpoint already arrived with
+        // the previous relay, so the chain re-routes without a new hop.
+        let mut pending: Option<ClientLinks> = None;
         // Slots whose update the group's final state carries.
         let mut alive: Vec<usize> = Vec::new();
         for (j, &c) in members.iter().enumerate() {
-            // While this member transmits, every other active group has a
-            // member of its own on the air: charge SINR against the
-            // same-position representative of each other group.
-            let interferers = co_transmitters(groups, gi, j);
+            let m = member(gi, j, c)?;
             // Client-model handoff: AP → client (first member receives the
             // freshly aggregated model; later members receive the relay).
-            if let Some((from, fj)) = pending.take() {
-                let relay_interferers = co_transmitters(groups, gi, fj);
-                let relay_air = latency.uplink_time_among(
-                    from,
-                    gc.client_model_wire_bytes,
+            if let Some(from) = pending.take() {
+                let from_c = from.state.client;
+                let relay_air = from.up.time(gc.client_model_wire_bytes)?;
+                let relay_t = meter.price(
+                    latency,
+                    from_c,
                     round,
-                    member_share(gi, from),
-                    &relay_interferers,
-                )?;
-                let relay_t =
-                    meter.price(latency, from, round, relay_air, gc.client_model_wire_bytes);
+                    relay_air,
+                    gc.client_model_wire_bytes,
+                );
                 let ul = g.add_task(
-                    format!("g{gi}/relay-up{from}"),
+                    format!("g{gi}/relay-up{from_c}"),
                     to_sim(relay_t.time),
                     None,
                     prev.as_slice(),
@@ -1158,18 +1180,9 @@ fn gsfl_round_inner(
                 breakdown.uplink_s += relay_t.time.as_secs_f64();
                 prev = Some(ul);
             }
-            // While this member receives, every other active group has a
-            // concurrent AP downlink on the air: charge downlink SINR
-            // against the same-position representatives. Model
-            // downlinks are fp32 (the AP decodes encoded uploads and
-            // relays raw — see `fl_round`).
-            let model_dl_air = latency.downlink_time_among(
-                c,
-                gc.client_model_bytes,
-                round,
-                member_share(gi, c),
-                &interferers,
-            )?;
+            // Model downlinks are fp32 (the AP decodes encoded uploads
+            // and relays raw — see `fl_round`).
+            let model_dl_air = m.down.time(gc.client_model_bytes)?;
             let model_dl_t = meter.price(latency, c, round, model_dl_air, gc.client_model_bytes);
             let dl = g.add_task(
                 format!("g{gi}/model-down{c}"),
@@ -1183,7 +1196,6 @@ fn gsfl_round_inner(
             breakdown.downlink_s += model_dl_t.time.as_secs_f64();
             prev = Some(dl);
 
-            let ap = latency.ap_of(c, round)?;
             if let Some(f) = latency.crash_point(c, round) {
                 // Crash after ⌊f · steps⌋ split steps: the partial chain
                 // is charged (and wasted) and the member never relays —
@@ -1194,14 +1206,11 @@ fn gsfl_round_inner(
                     latency,
                     gc,
                     gi,
-                    c,
+                    &m,
                     done,
-                    &interferers,
-                    member_share(gi, c),
-                    ap,
                     round,
                     &mut g,
-                    servers[ap],
+                    servers[m.state.ap],
                     prev,
                     &mut meter,
                     &mut bytes,
@@ -1218,13 +1227,8 @@ fn gsfl_round_inner(
                     // The standby inherits the chain position: fresh
                     // model-down on its own channel, then the full
                     // segment, serialized after the crash is detected.
-                    let b_dl_air = latency.downlink_time_among(
-                        b.client,
-                        gc.client_model_bytes,
-                        round,
-                        member_share(gi, b.client),
-                        &interferers,
-                    )?;
+                    let bm = member(gi, j, b.client)?;
+                    let b_dl_air = bm.down.time(gc.client_model_bytes)?;
                     let b_dl_t =
                         meter.price(latency, b.client, round, b_dl_air, gc.client_model_bytes);
                     let b_dl = g.add_task(
@@ -1237,19 +1241,15 @@ fn gsfl_round_inner(
                     bytes.raw_down += gc.client_model_bytes.as_u64();
                     energy += power.rx_energy(b_dl_t.air).as_joules();
                     breakdown.downlink_s += b_dl_t.time.as_secs_f64();
-                    let b_ap = latency.ap_of(b.client, round)?;
                     prev = gsfl_member_steps(
                         latency,
                         gc,
                         gi,
-                        b.client,
+                        &bm,
                         b.steps,
-                        &interferers,
-                        member_share(gi, b.client),
-                        b_ap,
                         round,
                         &mut g,
-                        servers[b_ap],
+                        servers[bm.state.ap],
                         Some(b_dl),
                         &mut meter,
                         &mut bytes,
@@ -1257,7 +1257,7 @@ fn gsfl_round_inner(
                         &mut breakdown,
                         &mut server_tasks,
                     )?;
-                    pending = Some((b.client, j));
+                    pending = Some(bm);
                     alive.push(c);
                     fate.backups_activated += 1;
                 }
@@ -1266,14 +1266,11 @@ fn gsfl_round_inner(
                     latency,
                     gc,
                     gi,
-                    c,
+                    &m,
                     steps[c],
-                    &interferers,
-                    member_share(gi, c),
-                    ap,
                     round,
                     &mut g,
-                    servers[ap],
+                    servers[m.state.ap],
                     prev,
                     &mut meter,
                     &mut bytes,
@@ -1281,25 +1278,24 @@ fn gsfl_round_inner(
                     &mut breakdown,
                     &mut server_tasks,
                 )?;
-                pending = Some((c, j));
+                pending = Some(m);
                 alive.push(c);
             }
         }
-        if let Some((last, lj)) = pending {
+        if let Some(last) = pending {
             // The last alive chain holder ships the group's client-side
             // model to the AP.
-            let last_interferers = co_transmitters(groups, gi, lj);
-            let agg_ul_air = latency.uplink_time_among(
-                last,
-                gc.client_model_wire_bytes,
+            let last_c = last.state.client;
+            let agg_ul_air = last.up.time(gc.client_model_wire_bytes)?;
+            let agg_ul_t = meter.price(
+                latency,
+                last_c,
                 round,
-                member_share(gi, last),
-                &last_interferers,
-            )?;
-            let agg_ul_t =
-                meter.price(latency, last, round, agg_ul_air, gc.client_model_wire_bytes);
+                agg_ul_air,
+                gc.client_model_wire_bytes,
+            );
             let agg_ul = g.add_task(
-                format!("g{gi}/agg-up{last}"),
+                format!("g{gi}/agg-up{last_c}"),
                 to_sim(agg_ul_t.time),
                 None,
                 prev.as_slice(),
@@ -1308,14 +1304,13 @@ fn gsfl_round_inner(
             bytes.raw_up += gc.client_model_bytes.as_u64();
             energy += power.tx_energy(agg_ul_t.air).as_joules();
             breakdown.uplink_s += agg_ul_t.time.as_secs_f64();
-            group_records.push((agg_ul, alive, latency.ap_of(last, round)?));
+            group_records.push((agg_ul, alive, last.state.ap));
         } else if let (Some(&held), Some(end)) = (alive.last(), prev) {
             // The tail of the chain crashed after the last alive member
             // already relayed its model up: the AP holds the group's
             // contribution, and the group ends at the crash-detection
             // gate — no extra upload is needed.
-            let held_ap = latency.ap_of(held, round)?;
-            group_records.push((end, alive, held_ap));
+            group_records.push((end, alive, cond.client(held)?.ap));
         }
         // Whole group lost: its charged tasks stay in the graph but it
         // contributes nothing to the aggregate.
@@ -1437,8 +1432,8 @@ fn co_transmitters(groups: &[Vec<usize>], gi: usize, j: usize) -> Vec<usize> {
 /// representatives of the other groups that will transmit alongside it,
 /// so [`BandwidthPolicy::ChannelAware`] co-optimizes shares and
 /// interference instead of trusting interference-free rates.
-/// Interference-free environments answer the `_among` query identically
-/// to the plain one, keeping zero-interference behavior bit-identical.
+/// Interference-free environments ignore the concurrent set, keeping
+/// zero-interference behavior bit-identical.
 fn group_shares(
     latency: &dyn ChannelModel,
     cond: &RoundConditions,
@@ -1446,7 +1441,6 @@ fn group_shares(
     steps: &[usize],
     groups: &[Vec<usize>],
     policy: BandwidthPolicy,
-    round: u64,
 ) -> Result<Vec<Hertz>> {
     let total = cond.bandwidth;
     let demands: Vec<LinkDemand> = groups
@@ -1475,8 +1469,8 @@ fn group_shares(
                 .map(|(j, &c)| {
                     let interferers = co_transmitters(groups, gi, j);
                     latency
-                        .uplink_rate_bps_among(c, round, probe, &interferers)
-                        .map(|r| r / probe.as_hz())
+                        .link(cond, c, Direction::Uplink, probe, &interferers)
+                        .map(|l| l.rate_bps / probe.as_hz())
                 })
                 .collect::<gsfl_wireless::Result<Vec<f64>>>()
                 .map(|v| v.iter().sum::<f64>() / v.len().max(1) as f64);

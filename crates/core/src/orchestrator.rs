@@ -39,7 +39,7 @@
 //! name at most one of the two — there is one planner per run.
 
 use crate::compression::CompressionSpec;
-use crate::latency::SplitCosts;
+use crate::latency::{ClientLinks, SplitCosts};
 use gsfl_nn::codec::CodecSpec;
 use gsfl_tensor::rng::SeedDerive;
 use gsfl_wireless::environment::{ChannelModel, RoundConditions};
@@ -92,7 +92,7 @@ pub struct PlanQuery<'a> {
     pub codec_menu: &'a [CompressionSpec],
     /// The environment snapshot for the round.
     pub conditions: &'a RoundConditions,
-    /// The environment itself, for per-client latency queries.
+    /// The environment, which prices links over `conditions`.
     pub env: &'a dyn ChannelModel,
     /// Per-client step counts (index = client id; length = client count).
     pub steps: &'a [usize],
@@ -270,98 +270,107 @@ fn share_for(q: &PlanQuery<'_>, shares: Option<&[f64]>, c: usize) -> Option<Hert
     }
 }
 
-/// Estimated latency of client `c`'s split chain at `share`: model
-/// download + `steps ×` (forward, smashed uplink, server pass, gradient
+/// Each of the `act` clients' links at `shares` (the legacy dedicated
+/// share when `None`), in `act` order; `None` for a client with no
+/// bandwidth or a link the environment cannot price. A rate depends only
+/// on the share, so every arm and payload priced at one share vector
+/// reads these.
+fn links_at(
+    q: &PlanQuery<'_>,
+    act: &[usize],
+    shares: Option<&[f64]>,
+) -> Vec<(usize, Option<ClientLinks>)> {
+    act.iter()
+        .map(|&c| {
+            let links = share_for(q, shares, c)
+                .and_then(|share| ClientLinks::price(q.env, q.conditions, c, share, &[]).ok());
+            (c, links)
+        })
+        .collect()
+}
+
+/// Estimated latency of a client's split chain over `l`: model download
+/// plus `steps ×` (forward, smashed uplink, server pass, gradient
 /// downlink, backward), at the candidate codec's wire sizes. Ignores
 /// server slot contention and group structure — it is a deliberately
 /// cheap estimator; [`BanditPlan`] learns what it misses.
-fn chain_estimate(q: &PlanQuery<'_>, costs: &SplitCosts, c: usize, share: Hertz) -> Option<f64> {
-    let steps = q.steps.get(c).copied().unwrap_or(0);
+fn chain_estimate(
+    q: &PlanQuery<'_>,
+    costs: &SplitCosts,
+    steps: usize,
+    l: &ClientLinks,
+) -> Option<f64> {
     if steps == 0 {
         return Some(0.0);
     }
-    let dl_model = q
-        .env
-        .downlink_time(c, costs.client_model_bytes, q.round, share)
-        .ok()?;
-    let fwd = q
-        .env
-        .client_compute(c, costs.client_fwd_flops, q.round)
-        .ok()?;
-    let ul = q
-        .env
-        .uplink_time(c, costs.smashed_wire_bytes, q.round, share)
-        .ok()?;
-    let ap = q.env.ap_of(c, q.round).ok()?;
-    let srv = q.env.server_compute_at(ap, costs.server_flops);
-    let dl = q
-        .env
-        .downlink_time(c, costs.grad_wire_bytes, q.round, share)
-        .ok()?;
-    let bwd = q
-        .env
-        .client_compute(c, costs.client_bwd_flops, q.round)
-        .ok()?;
+    let dl_model = l.down.time(costs.client_model_bytes).ok()?;
+    let fwd = l.state.compute_time(costs.client_fwd_flops);
+    let ul = l.up.time(costs.smashed_wire_bytes).ok()?;
+    let srv = q.env.server_compute_at(l.state.ap, costs.server_flops);
+    let dl = l.down.time(costs.grad_wire_bytes).ok()?;
+    let bwd = l.state.compute_time(costs.client_bwd_flops);
     Some(dl_model.as_secs_f64() + steps as f64 * (fwd + ul + srv + dl + bwd).as_secs_f64())
 }
 
-/// Straggler-bound round estimate over the active participants.
+/// Straggler-bound round estimate over the active participants' links
+/// at one share vector (see [`links_at`]).
 fn straggler_estimate(
     q: &PlanQuery<'_>,
     costs: &SplitCosts,
-    shares: Option<&[f64]>,
+    links: &[(usize, Option<ClientLinks>)],
 ) -> Option<f64> {
     let mut worst = 0.0f64;
-    for c in active(q) {
-        let share = share_for(q, shares, c)?;
-        worst = worst.max(chain_estimate(q, costs, c, share)?);
+    for (c, l) in links {
+        let steps = q.steps.get(*c).copied().unwrap_or(0);
+        worst = worst.max(chain_estimate(q, costs, steps, l.as_ref()?)?);
     }
     Some(worst)
 }
 
+/// The band split equally among the `act` clients (indexed by client
+/// id), or `None` when nobody is active.
+fn equal_split(q: &PlanQuery<'_>, act: &[usize]) -> Option<Vec<f64>> {
+    if act.is_empty() {
+        return None;
+    }
+    let mut v = vec![0.0f64; q.steps.len()];
+    let frac = 1.0 / act.len() as f64;
+    for &c in act {
+        v[c] = frac;
+    }
+    Some(v)
+}
+
 /// The share vector of `mode` (indexed by client id), or `None` for the
-/// legacy default.
-fn mode_shares(q: &PlanQuery<'_>, costs: &SplitCosts, mode: ShareMode) -> Option<Option<Vec<f64>>> {
-    let act = active(q);
+/// legacy default. `probe` holds the `act` clients' links at the equal
+/// split ([`equal_split`]), which demand weighting prices airtime at.
+fn mode_shares(
+    q: &PlanQuery<'_>,
+    act: &[usize],
+    costs: &SplitCosts,
+    mode: ShareMode,
+    probe: &[(usize, Option<ClientLinks>)],
+) -> Option<Option<Vec<f64>>> {
     if act.is_empty() {
         return Some(None);
     }
     match mode {
         ShareMode::Legacy => Some(None),
-        ShareMode::EqualParticipants => {
-            let mut v = vec![0.0f64; q.steps.len()];
-            let frac = 1.0 / act.len() as f64;
-            for &c in &act {
-                v[c] = frac;
-            }
-            Some(Some(v))
-        }
+        ShareMode::EqualParticipants => Some(equal_split(q, act)),
         ShareMode::DemandWeighted => {
             // Airtime of each participant's round payload at an equal
             // probe share; shares proportional to it equalize completion.
-            let probe = q.conditions.bandwidth.fraction(1.0 / act.len() as f64);
             let mut airtime = vec![0.0f64; q.steps.len()];
             let mut sum = 0.0f64;
-            for &c in &act {
-                let steps = q.steps[c] as f64;
-                let ul = q
-                    .env
-                    .uplink_time(c, costs.smashed_wire_bytes, q.round, probe)
-                    .ok()?;
-                let dl = q
-                    .env
-                    .downlink_time(c, costs.grad_wire_bytes, q.round, probe)
-                    .ok()?;
-                let model_dl = q
-                    .env
-                    .downlink_time(c, costs.client_model_bytes, q.round, probe)
-                    .ok()?;
-                let model_ul = q
-                    .env
-                    .uplink_time(c, costs.client_model_wire_bytes, q.round, probe)
-                    .ok()?;
+            for (c, l) in probe {
+                let l = l.as_ref()?;
+                let steps = q.steps[*c] as f64;
+                let ul = l.up.time(costs.smashed_wire_bytes).ok()?;
+                let dl = l.down.time(costs.grad_wire_bytes).ok()?;
+                let model_dl = l.down.time(costs.client_model_bytes).ok()?;
+                let model_ul = l.up.time(costs.client_model_wire_bytes).ok()?;
                 let t = steps * (ul + dl).as_secs_f64() + (model_dl + model_ul).as_secs_f64();
-                airtime[c] = t;
+                airtime[*c] = t;
                 sum += t;
             }
             if sum <= 0.0 {
@@ -412,6 +421,11 @@ impl Orchestrator for GreedyJoint {
     fn plan(&self, q: &PlanQuery<'_>) -> RoundPlan {
         let fallback = || StaticPlan.plan(q);
         let held = *self.incumbent.lock().expect("greedy state lock");
+        let act = active(q);
+        // The legacy and equal share vectors are the same for every arm;
+        // demand weighting prices its airtime at the equal split.
+        let legacy = links_at(q, &act, None);
+        let equal = links_at(q, &act, equal_split(q, &act).as_deref());
         let mut best: Option<(f64, Arm, RoundPlan)> = None;
         let mut held_now: Option<(f64, RoundPlan)> = None;
         for &cut in q.candidates {
@@ -421,10 +435,19 @@ impl Orchestrator for GreedyJoint {
             for (ki, codec) in self.scope.codecs(q).iter().enumerate() {
                 let costs = base.with_compression(codec);
                 for (mi, mode) in self.scope.modes().iter().enumerate() {
-                    let Some(shares) = mode_shares(q, &costs, *mode) else {
+                    let Some(shares) = mode_shares(q, &act, &costs, *mode, &equal) else {
                         continue;
                     };
-                    let Some(est) = straggler_estimate(q, &costs, shares.as_deref()) else {
+                    let weighted;
+                    let links = match (mode, &shares) {
+                        (_, None) => &legacy,
+                        (ShareMode::EqualParticipants, Some(_)) => &equal,
+                        (_, Some(s)) => {
+                            weighted = links_at(q, &act, Some(s));
+                            &weighted
+                        }
+                    };
+                    let Some(est) = straggler_estimate(q, &costs, links) else {
                         continue;
                     };
                     let plan = RoundPlan {
@@ -459,21 +482,23 @@ impl Orchestrator for GreedyJoint {
         // active client's own-chain argmin. SplitFed (private
         // server-side replicas) honors these; everything else trains at
         // the global cut.
+        let cut_costs: Vec<(usize, SplitCosts)> = q
+            .candidates
+            .iter()
+            .filter_map(|&cut| Some((cut, q.costs.get(&cut)?.with_compression(&plan.codec))))
+            .collect();
         let mut client_cuts = vec![plan.cut; q.steps.len()];
-        for c in active(q) {
-            let Some(share) = share_for(q, plan.shares.as_deref(), c) else {
+        for (c, l) in links_at(q, &act, plan.shares.as_deref()) {
+            let Some(l) = l else {
                 continue;
             };
+            let steps = q.steps.get(c).copied().unwrap_or(0);
             let mut best_cut = plan.cut;
             let mut best_est = f64::INFINITY;
-            for &cut in q.candidates {
-                let Some(base) = q.costs.get(&cut) else {
-                    continue;
-                };
-                let costs = base.with_compression(&plan.codec);
-                if let Some(est) = chain_estimate(q, &costs, c, share) {
+            for (cut, costs) in &cut_costs {
+                if let Some(est) = chain_estimate(q, costs, steps, &l) {
                     if est < best_est {
-                        best_cut = cut;
+                        best_cut = *cut;
                         best_est = est;
                     }
                 }
@@ -538,7 +563,14 @@ impl BanditPlan {
         let (cut, ci, mi) = arm;
         let codec = *q.codec_menu.get(ci)?;
         let costs = q.costs.get(&cut)?.with_compression(&codec);
-        let shares = mode_shares(q, &costs, SHARE_MODES[mi])?;
+        let mode = SHARE_MODES[mi];
+        let act = active(q);
+        let probe = if mode == ShareMode::DemandWeighted {
+            links_at(q, &act, equal_split(q, &act).as_deref())
+        } else {
+            Vec::new()
+        };
+        let shares = mode_shares(q, &act, &costs, mode, &probe)?;
         Some(RoundPlan {
             cut,
             client_cuts: None,
@@ -909,10 +941,12 @@ mod tests {
         let cond = f.env.conditions(2).unwrap();
         let q = query(&f, &cond);
         let plan = GreedyJoint::new().plan(&q);
+        let act = active(&q);
         let chosen_costs = f.costs[&plan.cut].with_compression(&plan.codec);
-        let chosen = straggler_estimate(&q, &chosen_costs, plan.shares.as_deref()).unwrap();
+        let chosen_links = links_at(&q, &act, plan.shares.as_deref());
+        let chosen = straggler_estimate(&q, &chosen_costs, &chosen_links).unwrap();
         let static_costs = f.costs[&q.default_cut];
-        let baseline = straggler_estimate(&q, &static_costs, None).unwrap();
+        let baseline = straggler_estimate(&q, &static_costs, &links_at(&q, &act, None)).unwrap();
         assert!(chosen <= baseline + 1e-12, "{chosen} vs {baseline}");
     }
 
@@ -995,14 +1029,15 @@ mod tests {
         let q = query(&f, &cond);
         let plan = CutPolicySpec::Greedy.policy(0).unwrap().plan(&q);
         let costs = |cut: usize| f.costs[&cut].with_compression(&f.menu[0]);
-        let round_est = |cut| straggler_estimate(&q, &costs(cut), None).unwrap();
+        let links = links_at(&q, &active(&q), None);
+        let round_est = |cut| straggler_estimate(&q, &costs(cut), &links).unwrap();
         for &cut in &f.candidates {
             assert!(round_est(plan.cut) <= round_est(cut) + 1e-12, "cut {cut}");
         }
         let client_cuts = plan.client_cuts.expect("greedy refines per client");
-        let share = cond.dedicated_share();
         for (c, &chosen) in client_cuts.iter().enumerate() {
-            let own_est = |cut| chain_estimate(&q, &costs(cut), c, share).unwrap();
+            let l = links[c].1.expect("every client has a link");
+            let own_est = |cut| chain_estimate(&q, &costs(cut), f.steps[c], &l).unwrap();
             for &cut in &f.candidates {
                 assert!(
                     own_est(chosen) <= own_est(cut) + 1e-12,

@@ -10,25 +10,31 @@
 //! including the fully sequential fallback.
 //!
 //! Thread counts are clamped through the shared
-//! [`gsfl_tensor::threading`] budget (or forced by
-//! [`crate::config::ExperimentConfig::client_threads`]), so nested
-//! parallelism — e.g. a GEMM inside a client inside a scheme — degrades
-//! to sequential instead of oversubscribing the host.
+//! [`gsfl_tensor::threading`] budget, or forced by
+//! [`crate::config::ExperimentConfig::client_threads`]. A forced fan-out
+//! still books its threads in the budget for as long as it runs, so
+//! nested parallelism — e.g. a GEMM inside a client inside a scheme —
+//! degrades to sequential instead of oversubscribing the host.
 
 use crate::config::ExperimentConfig;
 use crate::{CoreError, Result};
 use gsfl_tensor::threading::{request_threads, ThreadGrant};
 
-/// How many threads a scheme may fan out over this round's items: the
-/// config's forced `client_threads` if set, otherwise a lease from the
-/// process-wide budget. The grant (if any) must stay alive while the
+/// How many threads a scheme may fan out over this round's items, with
+/// the budget grant that books them: the config's forced
+/// `client_threads` if set (requested from the budget, but fanned out
+/// over in full whatever the grant holds), otherwise whatever the
+/// process-wide budget grants. The grant must stay alive while the
 /// threads run.
-pub(crate) fn round_fanout(cfg: &ExperimentConfig, items: usize) -> (usize, Option<ThreadGrant>) {
+pub(crate) fn round_fanout(cfg: &ExperimentConfig, items: usize) -> (usize, ThreadGrant) {
     match cfg.client_threads {
-        Some(n) => (n.clamp(1, items.max(1)), None),
+        Some(n) => {
+            let threads = n.clamp(1, items.max(1));
+            (threads, request_threads(threads))
+        }
         None => {
             let grant = request_threads(items);
-            (grant.threads().min(items.max(1)), Some(grant))
+            (grant.threads().min(items.max(1)), grant)
         }
     }
 }
@@ -88,6 +94,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsfl_tensor::threading::extra_threads_in_use;
 
     #[test]
     fn preserves_item_order_for_any_thread_count() {
@@ -129,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_fanout_ignores_budget() {
+    fn forced_fanout_books_its_threads_in_the_budget() {
         let cfg = ExperimentConfig::builder()
             .clients(4)
             .groups(2)
@@ -137,9 +144,18 @@ mod tests {
             .build()
             .unwrap();
         let (threads, grant) = round_fanout(&cfg, 8);
-        assert_eq!(threads, 3);
-        assert!(grant.is_none());
-        let (threads, _) = round_fanout(&cfg, 2);
+        assert_eq!(threads, 3, "the forced count is fanned out in full");
+        // The grant leases up to the forced count; whatever it holds is
+        // unavailable to nested GEMMs until it drops. Other tests in this
+        // binary may hold grants concurrently, so only local invariants
+        // are asserted.
+        assert!(grant.threads() >= 1 && grant.threads() <= threads);
+        assert!(
+            extra_threads_in_use() + 1 >= grant.threads(),
+            "a held grant stays booked in the budget"
+        );
+        let (threads, grant) = round_fanout(&cfg, 2);
         assert_eq!(threads, 2, "fan-out never exceeds the item count");
+        assert!(grant.threads() <= 2, "the grant asks for the clamped count");
     }
 }

@@ -1,24 +1,46 @@
 //! The pluggable wireless-environment API.
 //!
 //! [`ChannelModel`] is the trait every latency calculator and training
-//! scheme talks to: per-round uplink/downlink/compute/availability
-//! queries, plus a [`RoundConditions`] snapshot of the whole network at
-//! one round. Two implementations ship:
+//! scheme talks to. Pricing a round is two steps:
+//!
+//! 1. [`ChannelModel::conditions`] draws the round once: a
+//!    [`RoundConditions`] snapshot holding every client's distance,
+//!    straggler-adjusted compute rate, fading gains, AP association,
+//!    availability and the received power of each link direction
+//!    ([`LinkState`]). Fading and straggler values come from seeded RNG
+//!    streams, and the path-loss and gain logarithms are the expensive
+//!    part of a link; the snapshot pays for both once per client and
+//!    round.
+//! 2. [`ChannelModel::link`] prices one client's link over that snapshot:
+//!    the rate at a bandwidth share, with co-channel interference taken
+//!    from the other snapshot entries. [`Link::time`] then charges any
+//!    number of payloads at that rate, and
+//!    [`ClientConditions::compute_time`] charges on-device work.
+//!
+//! Each environment implements one per-client draw
+//! ([`ChannelModel::client_conditions`]) and one link-pricing path. The
+//! snapshot stores the values a link budget computes on the way to a
+//! rate, and pricing keeps the arithmetic in order, so a price read from
+//! the snapshot is bit-identical to one computed from the link budget
+//! directly.
+//!
+//! Two implementations ship here:
 //!
 //! * [`StaticEnvironment`] — a transparent wrapper over the composed
 //!   [`LatencyModel`]; every round sees the same topology, bandwidth and
-//!   device fleet (fading still varies per block). This reproduces the
-//!   pre-trait behavior bit-for-bit.
+//!   device fleet (fading still varies per block).
 //! * [`DynamicEnvironment`] — the static base plus time-varying overlays:
 //!   mobility-driven path-loss drift ([`Mobility`]), diurnal/congested
 //!   bandwidth profiles ([`BandwidthProfile`]), straggler injection
 //!   ([`StragglerInjector`]) and dropout injection ([`DropoutInjector`]).
 //!
-//! Ready-made presets over these overlays live in [`crate::scenario`].
+//! [`crate::multi_ap::MultiApEnvironment`] and
+//! [`crate::trace::TraceEnvironment`] are the other two. Ready-made
+//! presets over all four live in [`crate::scenario`].
 
 use crate::energy::PowerProfile;
 use crate::fault::{FaultInjector, FaultSpec, TransferOutcome};
-use crate::interference::{co_channel_interference_mw, InterferenceSpec};
+use crate::interference::InterferenceSpec;
 use crate::latency::LatencyModel;
 use crate::mobility::Mobility;
 use crate::server::EdgeServer;
@@ -28,13 +50,13 @@ use gsfl_tensor::rng::SeedDerive;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Per-round view of the wireless environment.
+/// The wireless environment, per round.
 ///
-/// Every query takes the round number so implementations can vary
-/// conditions over time; static environments simply ignore it.
-/// Transmission times take an explicit bandwidth `share` — callers
-/// (the latency calculators) decide how the round's total bandwidth,
-/// reported by [`ChannelModel::total_bandwidth`], is divided.
+/// Implementations draw a client's state for a round in
+/// [`ChannelModel::client_conditions`] and price links over a
+/// [`RoundConditions`] snapshot in [`ChannelModel::link`]. Transmissions
+/// take an explicit bandwidth `share`: callers (the latency calculators)
+/// decide how the round's total bandwidth is divided.
 pub trait ChannelModel: std::fmt::Debug + Send + Sync {
     /// Number of clients in the network.
     fn client_count(&self) -> usize;
@@ -48,71 +70,76 @@ pub trait ChannelModel: std::fmt::Debug + Send + Sync {
     /// The client power-draw profile used for energy accounting.
     fn power(&self) -> &PowerProfile;
 
+    /// Draws the state of `client` in `round`: the one place an
+    /// environment computes distances, compute rates, fading gains and
+    /// received powers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WirelessError::UnknownClient`] for bad indices.
+    fn client_conditions(&self, client: usize, round: u64) -> Result<ClientConditions>;
+
+    /// Prices `client`'s link in direction `dir` over the snapshot
+    /// `cond`: the achievable rate at `share`, while the clients in
+    /// `concurrent` transmit co-channel in the same direction (uplinks
+    /// from those clients, or downlinks to them). Interference-free
+    /// environments ignore `concurrent`; the others hear each concurrent
+    /// transmitter through its snapshot entry. `client` itself is skipped
+    /// if it appears in `concurrent`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WirelessError::UnknownClient`] for indices outside the
+    /// snapshot, and [`WirelessError::Config`] for a share an
+    /// environment cannot price or an entry it did not draw.
+    fn link(
+        &self,
+        cond: &RoundConditions,
+        client: usize,
+        dir: Direction,
+        share: Hertz,
+        concurrent: &[usize],
+    ) -> Result<Link>;
+
+    /// Compute time of one edge-server slot.
+    fn server_compute(&self, flops: u64) -> Seconds;
+
+    /// A snapshot of the whole network's conditions in `round`: every
+    /// client's [`ChannelModel::client_conditions`] and the round's
+    /// bandwidth.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-client draw errors.
+    fn conditions(&self, round: u64) -> Result<RoundConditions> {
+        let clients = (0..self.client_count())
+            .map(|c| self.client_conditions(c, round))
+            .collect::<Result<Vec<ClientConditions>>>()?;
+        Ok(RoundConditions {
+            round,
+            bandwidth: self.total_bandwidth(round),
+            clients,
+            ap_paths: Vec::new(),
+        })
+    }
+
     /// The effective AP distance of `client` in `round`.
     ///
     /// # Errors
     ///
     /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    fn distance(&self, client: usize, round: u64) -> Result<Meters>;
+    fn distance(&self, client: usize, round: u64) -> Result<Meters> {
+        Ok(self.client_conditions(client, round)?.distance)
+    }
 
     /// The effective compute rate of `client` in `round`.
     ///
     /// # Errors
     ///
     /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    fn device_rate(&self, client: usize, round: u64) -> Result<FlopsRate>;
-
-    /// Uplink transmission time over an allocated bandwidth share.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] / [`WirelessError::Config`]
-    /// on bad indices or zero share.
-    fn uplink_time(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds>;
-
-    /// Downlink transmission time over an allocated bandwidth share.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] / [`WirelessError::Config`]
-    /// on bad indices or zero share.
-    fn downlink_time(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds>;
-
-    /// Achievable uplink rate in bits/s over `share` bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    fn uplink_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64>;
-
-    /// The uplink fading power gain of `client` in `round`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    fn uplink_gain(&self, client: usize, round: u64) -> Result<f64>;
-
-    /// On-device compute time of `client` in `round`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    fn client_compute(&self, client: usize, flops: u64, round: u64) -> Result<Seconds>;
-
-    /// Compute time of one edge-server slot.
-    fn server_compute(&self, flops: u64) -> Seconds;
+    fn device_rate(&self, client: usize, round: u64) -> Result<FlopsRate> {
+        Ok(self.client_conditions(client, round)?.compute_rate)
+    }
 
     /// Whether the client's radio is reachable in `round` (dropout
     /// injection). Defaults to always reachable.
@@ -151,67 +178,6 @@ pub trait ChannelModel: std::fmt::Debug + Send + Sync {
     /// means perfectly orthogonal access — the historical behavior.
     fn interference(&self) -> Option<InterferenceSpec> {
         None
-    }
-
-    /// Uplink transmission time while `interferers` transmit concurrently
-    /// co-channel. The default ignores the interferer set (orthogonal
-    /// access); interference-aware environments degrade the rate from SNR
-    /// to SINR. Implementations skip `client` itself if it appears in
-    /// `interferers`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ChannelModel::uplink_time`].
-    fn uplink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<Seconds> {
-        let _ = interferers;
-        self.uplink_time(client, payload, round, share)
-    }
-
-    /// Achievable uplink rate in bits/s while `interferers` transmit
-    /// concurrently (see [`ChannelModel::uplink_time_among`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ChannelModel::uplink_rate_bps`].
-    fn uplink_rate_bps_among(
-        &self,
-        client: usize,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<f64> {
-        let _ = interferers;
-        self.uplink_rate_bps(client, round, share)
-    }
-
-    /// Downlink transmission time while the APs concurrently serve
-    /// `receivers` (other clients mid-downlink) co-channel. The default
-    /// ignores the set (orthogonal access — the historical behavior);
-    /// interference-aware environments degrade the rate from SNR to
-    /// SINR, hearing each concurrent downlink's transmitter (the AP
-    /// serving that receiver) at the victim client. Implementations skip
-    /// `client` itself if it appears in `receivers`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ChannelModel::downlink_time`].
-    fn downlink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        receivers: &[usize],
-    ) -> Result<Seconds> {
-        let _ = receivers;
-        self.downlink_time(client, payload, round, share)
     }
 
     /// Number of access points / edge servers in the environment.
@@ -258,31 +224,69 @@ pub trait ChannelModel: std::fmt::Debug + Send + Sync {
         let _ = ap;
         None
     }
+}
 
-    /// A snapshot of the whole network's conditions in `round`.
+/// Which way a transfer crosses the air.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Client → AP.
+    Uplink,
+    /// AP → client.
+    Downlink,
+}
+
+/// A priced link: what each transfer over it costs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link {
+    /// Achievable rate in bits/s.
+    pub rate_bps: f64,
+    /// Latency floor added to every transfer, seconds (zero on analytic
+    /// links; the measured round-trip time on replayed ones).
+    pub latency_s: f64,
+}
+
+impl Link {
+    /// Time to move `payload` over the link: its bits at the rate, plus
+    /// the latency floor. An empty payload costs only the floor.
     ///
     /// # Errors
     ///
-    /// Propagates per-client query errors.
-    fn conditions(&self, round: u64) -> Result<RoundConditions> {
-        let clients = (0..self.client_count())
-            .map(|c| {
-                Ok(ClientConditions {
-                    client: c,
-                    distance: self.distance(c, round)?,
-                    compute_rate: self.device_rate(c, round)?,
-                    uplink_gain: self.uplink_gain(c, round)?,
-                    available: self.is_available(c, round),
-                    ap: self.ap_of(c, round)?,
-                })
-            })
-            .collect::<Result<Vec<ClientConditions>>>()?;
-        Ok(RoundConditions {
-            round,
-            bandwidth: self.total_bandwidth(round),
-            clients,
-        })
+    /// Returns [`WirelessError::Config`] when a non-empty payload meets a
+    /// zero rate (zero bandwidth).
+    pub fn time(&self, payload: Bytes) -> Result<Seconds> {
+        if payload == Bytes::ZERO {
+            return Ok(Seconds::new(self.latency_s));
+        }
+        if self.rate_bps <= 0.0 {
+            return Err(WirelessError::Config(format!(
+                "link rate is zero ({} bit/s)",
+                self.rate_bps
+            )));
+        }
+        Ok(Seconds::new(
+            payload.as_bits() as f64 / self.rate_bps + self.latency_s,
+        ))
     }
+}
+
+/// One client's link this round, as its environment drew it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum LinkState {
+    /// An analytic link: the received signal power of each direction, in
+    /// dBm, at the serving AP (uplink) and at the client (downlink).
+    Radio {
+        /// The client's signal at its serving AP.
+        uplink_rx_dbm: f64,
+        /// The serving AP's signal at the client.
+        downlink_rx_dbm: f64,
+    },
+    /// A measured link (trace replay), the same both ways.
+    Measured {
+        /// Full-band throughput, bits/s.
+        bandwidth_bps: f64,
+        /// Per-transfer latency floor, seconds.
+        rtt_s: f64,
+    },
 }
 
 /// The state of one client as seen in a [`RoundConditions`] snapshot.
@@ -292,21 +296,61 @@ pub struct ClientConditions {
     pub client: usize,
     /// Effective AP distance this round.
     pub distance: Meters,
-    /// Effective compute rate this round.
+    /// Effective compute rate this round (straggler slowdowns applied).
     pub compute_rate: FlopsRate,
     /// Uplink fading power gain this round.
     pub uplink_gain: f64,
+    /// Downlink fading power gain this round.
+    pub downlink_gain: f64,
     /// Whether the client is reachable this round.
     pub available: bool,
     /// The AP / edge server the client is associated with this round
     /// (always 0 in single-AP environments).
     #[serde(default)]
     pub ap: usize,
+    /// The client's link this round.
+    pub link: LinkState,
 }
 
-/// A per-round snapshot of the environment, consumed by the latency
-/// calculators (bandwidth-share math, availability) and handy for
-/// tracing why a round was slow.
+impl ClientConditions {
+    /// On-device time to execute `flops` at this round's compute rate.
+    pub fn compute_time(&self, flops: u64) -> Seconds {
+        self.compute_rate.time_for(flops)
+    }
+
+    /// Received powers of an analytic link: `(uplink_rx_dbm,
+    /// downlink_rx_dbm)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WirelessError::Config`] for a measured link.
+    pub fn radio(&self) -> Result<(f64, f64)> {
+        match self.link {
+            LinkState::Radio {
+                uplink_rx_dbm,
+                downlink_rx_dbm,
+            } => Ok((uplink_rx_dbm, downlink_rx_dbm)),
+            LinkState::Measured { .. } => Err(WirelessError::Config(format!(
+                "client {} has a measured link, not a radio one",
+                self.client
+            ))),
+        }
+    }
+}
+
+/// The radio path between one client and one AP it is not associated
+/// with, for cross-AP interference (see [`RoundConditions::ap_paths`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ApPath {
+    /// The client's uplink signal at that AP, dBm.
+    pub uplink_rx_dbm: f64,
+    /// That AP's downlink signal at the client, dBm.
+    pub downlink_rx_dbm: f64,
+}
+
+/// A per-round snapshot of the environment: what the latency calculators
+/// and planners price a round from, and a record of why a round was
+/// slow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundConditions {
     /// The round this snapshot describes.
@@ -315,6 +359,12 @@ pub struct RoundConditions {
     pub bandwidth: Hertz,
     /// Per-client conditions, indexed by client id.
     pub clients: Vec<ClientConditions>,
+    /// Every client's radio path to every AP, row-major by client (entry
+    /// `client * aps + ap`). Filled only by environments with several
+    /// APs and active interference, where a transmitter is heard at an AP
+    /// it is not associated with; empty otherwise.
+    #[serde(default)]
+    pub ap_paths: Vec<ApPath>,
 }
 
 impl RoundConditions {
@@ -333,12 +383,120 @@ impl RoundConditions {
             .map(|c| c.client)
             .collect()
     }
+
+    /// The snapshot entry of `client`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WirelessError::UnknownClient`] for bad indices.
+    pub fn client(&self, client: usize) -> Result<&ClientConditions> {
+        self.clients
+            .get(client)
+            .ok_or(WirelessError::UnknownClient {
+                client,
+                clients: self.clients.len(),
+            })
+    }
+
+    /// The received powers `(uplink, downlink)` in dBm between `client`
+    /// and AP `ap`: its own link for its serving AP, the
+    /// [`RoundConditions::ap_paths`] entry otherwise.
+    fn path(&self, client: usize, ap: usize) -> Result<(f64, f64)> {
+        let entry = self.client(client)?;
+        if ap == entry.ap {
+            return entry.radio();
+        }
+        let aps = self.ap_paths.len() / self.clients.len().max(1);
+        match self.ap_paths.get(client * aps + ap) {
+            Some(p) if ap < aps => Ok((p.uplink_rx_dbm, p.downlink_rx_dbm)),
+            _ => Err(WirelessError::Config(format!(
+                "the snapshot holds no path from client {client} to AP {ap}"
+            ))),
+        }
+    }
+}
+
+/// Draws the state of `client` over the analytic base model: fading
+/// gains from the base model's streams and each direction's received
+/// power at `distance`. `compute_rate`, `available` and `ap` come from
+/// the environment's overlays.
+pub(crate) fn radio_conditions(
+    base: &LatencyModel,
+    client: usize,
+    round: u64,
+    distance: Meters,
+    compute_rate: FlopsRate,
+    available: bool,
+    ap: usize,
+) -> ClientConditions {
+    let uplink_gain = base.uplink_gain(client, round);
+    let downlink_gain = base.downlink_gain(client, round);
+    ClientConditions {
+        client,
+        distance,
+        compute_rate,
+        uplink_gain,
+        downlink_gain,
+        available,
+        ap,
+        link: LinkState::Radio {
+            uplink_rx_dbm: base.uplink_budget().rx_dbm(distance, uplink_gain),
+            downlink_rx_dbm: base.downlink_budget().rx_dbm(distance, downlink_gain),
+        },
+    }
+}
+
+/// The link-pricing path of every analytic environment: the Shannon rate
+/// of `client`'s link at `share` from its snapshot received power, under
+/// the co-channel interference of `concurrent`. An uplink hears each
+/// concurrent uplink's signal at the victim's serving AP; a downlink
+/// hears, at the victim, the AP serving each concurrent receiver. Each
+/// source is summed in `concurrent` order and scaled by the reuse
+/// factor.
+pub(crate) fn radio_link(
+    base: &LatencyModel,
+    interference: Option<InterferenceSpec>,
+    cond: &RoundConditions,
+    client: usize,
+    dir: Direction,
+    share: Hertz,
+    concurrent: &[usize],
+) -> Result<Link> {
+    let entry = cond.client(client)?;
+    let (up_dbm, down_dbm) = entry.radio()?;
+    let mut interference_mw = 0.0;
+    if let Some(spec) = interference.filter(InterferenceSpec::is_active) {
+        let mut sum = 0.0f64;
+        let mut heard = false;
+        for &other in concurrent {
+            if other == client {
+                continue;
+            }
+            let dbm = match dir {
+                Direction::Uplink => cond.path(other, entry.ap)?.0,
+                Direction::Downlink => cond.path(client, cond.client(other)?.ap)?.1,
+            };
+            sum += 10f64.powf(dbm / 10.0);
+            heard = true;
+        }
+        if heard {
+            interference_mw = sum * spec.reuse_factor;
+        }
+    }
+    let (budget, rx_dbm) = match dir {
+        Direction::Uplink => (base.uplink_budget(), up_dbm),
+        Direction::Downlink => (base.downlink_budget(), down_dbm),
+    };
+    Ok(Link {
+        rate_bps: budget.rate_bps_at(rx_dbm, share, interference_mw),
+        latency_s: 0.0,
+    })
 }
 
 /// The always-the-same environment: a transparent [`ChannelModel`] view
-/// of the composed [`LatencyModel`]. Query-for-query identical to calling
-/// the model directly, so results through the trait are byte-identical to
-/// the pre-trait code path.
+/// of the composed [`LatencyModel`]. Prices are identical to the model's
+/// own queries, so results through the trait are byte-identical to the
+/// pre-trait code path.
 #[derive(Debug, Clone)]
 pub struct StaticEnvironment {
     base: LatencyModel,
@@ -370,50 +528,6 @@ impl StaticEnvironment {
     pub fn base(&self) -> &LatencyModel {
         &self.base
     }
-
-    fn interference_mw(&self, client: usize, round: u64, interferers: &[usize]) -> Result<f64> {
-        let Some(spec) = self.interference else {
-            return Ok(0.0);
-        };
-        let mut sources = Vec::with_capacity(interferers.len());
-        for &i in interferers {
-            if i == client {
-                continue;
-            }
-            let d = self.base.distance(i)?;
-            sources.push((d, self.base.uplink_gain(i, round)));
-        }
-        Ok(co_channel_interference_mw(
-            self.base.uplink_budget(),
-            &sources,
-            spec,
-        ))
-    }
-
-    /// Aggregate downlink interference at `client`: every concurrent
-    /// downlink leaks from the (single) AP, so each receiver in
-    /// `receivers` contributes the AP's received power over the victim's
-    /// own AP path (distance and downlink fading), scaled by the reuse
-    /// factor.
-    fn downlink_interference_mw(
-        &self,
-        client: usize,
-        round: u64,
-        receivers: &[usize],
-    ) -> Result<f64> {
-        let Some(spec) = self.interference else {
-            return Ok(0.0);
-        };
-        let d = self.base.distance(client)?;
-        let gain = self.base.downlink_gain(client, round);
-        let others = receivers.iter().filter(|&&r| r != client).count();
-        let sources = vec![(d, gain); others];
-        Ok(co_channel_interference_mw(
-            self.base.downlink_budget(),
-            &sources,
-            spec,
-        ))
-    }
 }
 
 impl ChannelModel for StaticEnvironment {
@@ -433,45 +547,31 @@ impl ChannelModel for StaticEnvironment {
         self.base.power()
     }
 
-    fn distance(&self, client: usize, _round: u64) -> Result<Meters> {
-        self.base.distance(client)
+    fn client_conditions(&self, client: usize, round: u64) -> Result<ClientConditions> {
+        let distance = self.base.distance(client)?;
+        let rate = self.base.device(client)?.rate();
+        Ok(radio_conditions(
+            &self.base, client, round, distance, rate, true, 0,
+        ))
     }
 
-    fn device_rate(&self, client: usize, _round: u64) -> Result<FlopsRate> {
-        Ok(self.base.device(client)?.rate())
-    }
-
-    fn uplink_time(
+    fn link(
         &self,
+        cond: &RoundConditions,
         client: usize,
-        payload: Bytes,
-        round: u64,
+        dir: Direction,
         share: Hertz,
-    ) -> Result<Seconds> {
-        self.base.uplink_time_with(client, payload, round, share)
-    }
-
-    fn downlink_time(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds> {
-        self.base.downlink_time_with(client, payload, round, share)
-    }
-
-    fn uplink_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64> {
-        self.base.uplink_rate_bps(client, round, share)
-    }
-
-    fn uplink_gain(&self, client: usize, round: u64) -> Result<f64> {
-        self.base.distance(client)?; // index check
-        Ok(self.base.uplink_gain(client, round))
-    }
-
-    fn client_compute(&self, client: usize, flops: u64, _round: u64) -> Result<Seconds> {
-        self.base.client_compute(client, flops)
+        concurrent: &[usize],
+    ) -> Result<Link> {
+        radio_link(
+            &self.base,
+            self.interference,
+            cond,
+            client,
+            dir,
+            share,
+            concurrent,
+        )
     }
 
     fn server_compute(&self, flops: u64) -> Seconds {
@@ -480,48 +580,6 @@ impl ChannelModel for StaticEnvironment {
 
     fn interference(&self) -> Option<InterferenceSpec> {
         self.interference
-    }
-
-    fn uplink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<Seconds> {
-        let d = self.base.distance(client)?;
-        let i_mw = self.interference_mw(client, round, interferers)?;
-        self.base
-            .uplink_time_at_sinr(client, payload, round, share, d, i_mw)
-    }
-
-    fn uplink_rate_bps_among(
-        &self,
-        client: usize,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<f64> {
-        let d = self.base.distance(client)?;
-        let i_mw = self.interference_mw(client, round, interferers)?;
-        Ok(self
-            .base
-            .uplink_rate_bps_at_sinr(client, round, share, d, i_mw))
-    }
-
-    fn downlink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        receivers: &[usize],
-    ) -> Result<Seconds> {
-        let d = self.base.distance(client)?;
-        let i_mw = self.downlink_interference_mw(client, round, receivers)?;
-        self.base
-            .downlink_time_at_sinr(client, payload, round, share, d, i_mw)
     }
 }
 
@@ -679,49 +737,6 @@ impl DynamicEnvironment {
             .map(|s| s.slowdown_at(client, round, &self.seeds))
             .unwrap_or(1.0)
     }
-
-    fn interference_mw(&self, client: usize, round: u64, interferers: &[usize]) -> Result<f64> {
-        let Some(spec) = self.interference else {
-            return Ok(0.0);
-        };
-        let mut sources = Vec::with_capacity(interferers.len());
-        for &i in interferers {
-            if i == client {
-                continue;
-            }
-            // Interferers are heard from wherever mobility put them.
-            let d = self.distance(i, round)?;
-            sources.push((d, self.base.uplink_gain(i, round)));
-        }
-        Ok(co_channel_interference_mw(
-            self.base.uplink_budget(),
-            &sources,
-            spec,
-        ))
-    }
-
-    /// Downlink twin of [`DynamicEnvironment::interference_mw`]: each
-    /// concurrent downlink leaks from the AP over the victim's own
-    /// (mobility-driven) AP path.
-    fn downlink_interference_mw(
-        &self,
-        client: usize,
-        round: u64,
-        receivers: &[usize],
-    ) -> Result<f64> {
-        let Some(spec) = self.interference else {
-            return Ok(0.0);
-        };
-        let d = self.distance(client, round)?;
-        let gain = self.base.downlink_gain(client, round);
-        let others = receivers.iter().filter(|&&r| r != client).count();
-        let sources = vec![(d, gain); others];
-        Ok(co_channel_interference_mw(
-            self.base.downlink_budget(),
-            &sources,
-            spec,
-        ))
-    }
 }
 
 impl DynamicEnvironmentBuilder {
@@ -861,51 +876,39 @@ impl ChannelModel for DynamicEnvironment {
         self.base.power()
     }
 
-    fn distance(&self, client: usize, round: u64) -> Result<Meters> {
+    fn client_conditions(&self, client: usize, round: u64) -> Result<ClientConditions> {
         let placed = self.base.distance(client)?;
-        Ok(self.mobility.distance_at(client, placed, round))
+        let distance = self.mobility.distance_at(client, placed, round);
+        let base_rate = self.base.device(client)?.rate().as_flops_per_sec();
+        let rate = FlopsRate::new(base_rate / self.straggle_factor(client, round));
+        Ok(radio_conditions(
+            &self.base,
+            client,
+            round,
+            distance,
+            rate,
+            self.is_available(client, round),
+            0,
+        ))
     }
 
-    fn device_rate(&self, client: usize, round: u64) -> Result<FlopsRate> {
-        let base = self.base.device(client)?.rate();
-        let factor = self.straggle_factor(client, round);
-        Ok(FlopsRate::new(base.as_flops_per_sec() / factor))
-    }
-
-    fn uplink_time(
+    fn link(
         &self,
+        cond: &RoundConditions,
         client: usize,
-        payload: Bytes,
-        round: u64,
+        dir: Direction,
         share: Hertz,
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        self.base.uplink_time_at(client, payload, round, share, d)
-    }
-
-    fn downlink_time(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        self.base.downlink_time_at(client, payload, round, share, d)
-    }
-
-    fn uplink_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64> {
-        let d = self.distance(client, round)?;
-        Ok(self.base.uplink_rate_bps_at(client, round, share, d))
-    }
-
-    fn uplink_gain(&self, client: usize, round: u64) -> Result<f64> {
-        self.base.distance(client)?; // index check
-        Ok(self.base.uplink_gain(client, round))
-    }
-
-    fn client_compute(&self, client: usize, flops: u64, round: u64) -> Result<Seconds> {
-        Ok(self.device_rate(client, round)?.time_for(flops))
+        concurrent: &[usize],
+    ) -> Result<Link> {
+        radio_link(
+            &self.base,
+            self.interference,
+            cond,
+            client,
+            dir,
+            share,
+            concurrent,
+        )
     }
 
     fn server_compute(&self, flops: u64) -> Seconds {
@@ -944,48 +947,6 @@ impl ChannelModel for DynamicEnvironment {
     fn interference(&self) -> Option<InterferenceSpec> {
         self.interference
     }
-
-    fn uplink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        let i_mw = self.interference_mw(client, round, interferers)?;
-        self.base
-            .uplink_time_at_sinr(client, payload, round, share, d, i_mw)
-    }
-
-    fn uplink_rate_bps_among(
-        &self,
-        client: usize,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<f64> {
-        let d = self.distance(client, round)?;
-        let i_mw = self.interference_mw(client, round, interferers)?;
-        Ok(self
-            .base
-            .uplink_rate_bps_at_sinr(client, round, share, d, i_mw))
-    }
-
-    fn downlink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        receivers: &[usize],
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        let i_mw = self.downlink_interference_mw(client, round, receivers)?;
-        self.base
-            .downlink_time_at_sinr(client, payload, round, share, d, i_mw)
-    }
 }
 
 #[cfg(test)]
@@ -1001,6 +962,24 @@ mod tests {
             .unwrap()
     }
 
+    /// Time to move `payload` in `dir` over `share` in `round`, against
+    /// the transmitters in `concurrent`, from a fresh snapshot.
+    fn time(
+        env: &dyn ChannelModel,
+        client: usize,
+        dir: Direction,
+        payload: Bytes,
+        round: u64,
+        share: Hertz,
+        concurrent: &[usize],
+    ) -> Seconds {
+        let cond = env.conditions(round).unwrap();
+        env.link(&cond, client, dir, share, concurrent)
+            .unwrap()
+            .time(payload)
+            .unwrap()
+    }
+
     #[test]
     fn static_environment_matches_model_exactly() {
         let model = base(4);
@@ -1008,22 +987,28 @@ mod tests {
         let payload = Bytes::new(200_000);
         let share = Hertz::from_mhz(1.0);
         for round in 0..8u64 {
+            let cond = env.conditions(round).unwrap();
             for c in 0..4 {
+                let up = env.link(&cond, c, Direction::Uplink, share, &[]).unwrap();
+                let down = env.link(&cond, c, Direction::Downlink, share, &[]).unwrap();
                 assert_eq!(
-                    env.uplink_time(c, payload, round, share).unwrap(),
+                    up.time(payload).unwrap(),
                     model.uplink_time_with(c, payload, round, share).unwrap()
                 );
                 assert_eq!(
-                    env.downlink_time(c, payload, round, share).unwrap(),
+                    down.time(payload).unwrap(),
                     model.downlink_time_with(c, payload, round, share).unwrap()
                 );
+                assert_eq!(up.rate_bps, model.uplink_rate_bps(c, round, share).unwrap());
                 assert_eq!(
-                    env.client_compute(c, 1_000_000, round).unwrap(),
+                    cond.clients[c].compute_time(1_000_000),
                     model.client_compute(c, 1_000_000).unwrap()
                 );
-                assert!(env.is_available(c, round));
+                assert_eq!(cond.clients[c].uplink_gain, model.uplink_gain(c, round));
+                assert_eq!(cond.clients[c].downlink_gain, model.downlink_gain(c, round));
+                assert!(cond.clients[c].available);
             }
-            assert_eq!(env.total_bandwidth(round), model.total_bandwidth());
+            assert_eq!(cond.bandwidth, model.total_bandwidth());
         }
         assert_eq!(
             env.server_compute(1_000_000),
@@ -1032,23 +1017,26 @@ mod tests {
     }
 
     #[test]
+    fn empty_payload_is_free_and_zero_share_fails() {
+        let env = StaticEnvironment::new(base(2));
+        let cond = env.conditions(0).unwrap();
+        let dead = env
+            .link(&cond, 0, Direction::Uplink, Hertz::new(0.0), &[])
+            .unwrap();
+        assert_eq!(dead.time(Bytes::ZERO).unwrap(), Seconds::ZERO);
+        assert!(dead.time(Bytes::new(10)).is_err());
+    }
+
+    #[test]
     fn no_overlay_dynamic_matches_static() {
         let model = base(3);
         let dynamic = DynamicEnvironment::builder(model.clone()).build().unwrap();
         let env = StaticEnvironment::new(model);
-        let payload = Bytes::new(50_000);
-        let share = Hertz::from_mhz(2.0);
         for round in 0..5u64 {
-            for c in 0..3 {
-                assert_eq!(
-                    dynamic.uplink_time(c, payload, round, share).unwrap(),
-                    env.uplink_time(c, payload, round, share).unwrap()
-                );
-                assert_eq!(
-                    dynamic.device_rate(c, round).unwrap(),
-                    env.device_rate(c, round).unwrap()
-                );
-            }
+            assert_eq!(
+                dynamic.conditions(round).unwrap(),
+                env.conditions(round).unwrap()
+            );
         }
     }
 
@@ -1092,10 +1080,19 @@ mod tests {
             .build()
             .unwrap();
         let plain = StaticEnvironment::new(base(2));
-        let slow = env.client_compute(0, 1_000_000_000, 3).unwrap();
-        let fast = plain.client_compute(0, 1_000_000_000, 3).unwrap();
+        let slow = env
+            .client_conditions(0, 3)
+            .unwrap()
+            .compute_time(1_000_000_000);
+        let fast = plain
+            .client_conditions(0, 3)
+            .unwrap()
+            .compute_time(1_000_000_000);
         assert!((slow.as_secs_f64() / fast.as_secs_f64() - 4.0).abs() < 1e-9);
-        assert_eq!(slow, env.client_compute(0, 1_000_000_000, 3).unwrap());
+        assert_eq!(
+            slow,
+            env.conditions(3).unwrap().clients[0].compute_time(1_000_000_000)
+        );
     }
 
     #[test]
@@ -1108,9 +1105,11 @@ mod tests {
         let mut dropped = 0;
         let mut up = 0;
         for round in 0..50u64 {
+            let cond = env.conditions(round).unwrap();
             for c in 0..4 {
                 let a = env.is_available(c, round);
                 assert_eq!(a, env.is_available(c, round));
+                assert_eq!(a, cond.clients[c].available);
                 if a {
                     up += 1;
                 } else {
@@ -1139,6 +1138,12 @@ mod tests {
         assert_eq!(c0.available_clients(), vec![0, 1, 2]);
         let share = c0.dedicated_share().as_hz();
         assert!((share * 3.0 - c0.bandwidth.as_hz()).abs() < 1e-6);
+        // The snapshot's link is the one the model prices at the moved
+        // distance.
+        let d = c4.clients[1].distance;
+        let gain = c4.clients[1].uplink_gain;
+        let expect = env.base.uplink_budget().rx_dbm(d, gain);
+        assert_eq!(c4.clients[1].radio().unwrap().0, expect);
     }
 
     #[test]
@@ -1178,7 +1183,7 @@ mod tests {
     }
 
     #[test]
-    fn interference_free_among_is_bitwise_plain_uplink() {
+    fn interference_free_link_is_bitwise_plain_link() {
         // Even *with* a spec, an empty interferer set must reproduce the
         // plain SNR uplink time bit for bit (the golden-fixture guard).
         let model = base(3);
@@ -1191,40 +1196,32 @@ mod tests {
         let share = Hertz::from_mhz(1.5);
         for round in 0..6u64 {
             for c in 0..3 {
-                assert_eq!(
-                    noisy
-                        .uplink_time_among(c, payload, round, share, &[])
-                        .unwrap(),
-                    plain.uplink_time(c, payload, round, share).unwrap()
-                );
-                // Self-interference is skipped.
-                assert_eq!(
-                    noisy
-                        .uplink_time_among(c, payload, round, share, &[c])
-                        .unwrap(),
-                    plain.uplink_time(c, payload, round, share).unwrap()
-                );
+                for dir in [Direction::Uplink, Direction::Downlink] {
+                    let clean = time(&plain, c, dir, payload, round, share, &[]);
+                    assert_eq!(time(&noisy, c, dir, payload, round, share, &[]), clean);
+                    // Self-interference is skipped.
+                    assert_eq!(time(&noisy, c, dir, payload, round, share, &[c]), clean);
+                }
             }
         }
     }
 
     #[test]
-    fn concurrent_transmitters_slow_the_uplink() {
+    fn concurrent_transmitters_slow_the_link() {
         let env = StaticEnvironment::new(base(4))
             .with_interference(InterferenceSpec { reuse_factor: 0.5 })
             .unwrap();
         let payload = Bytes::new(200_000);
         let share = Hertz::from_mhz(1.0);
-        let clean = env.uplink_time_among(0, payload, 2, share, &[]).unwrap();
-        let one = env.uplink_time_among(0, payload, 2, share, &[1]).unwrap();
-        let two = env
-            .uplink_time_among(0, payload, 2, share, &[1, 2])
-            .unwrap();
-        assert!(one.as_secs_f64() > clean.as_secs_f64());
-        assert!(two.as_secs_f64() > one.as_secs_f64());
-        let r_clean = env.uplink_rate_bps_among(0, 2, share, &[]).unwrap();
-        let r_two = env.uplink_rate_bps_among(0, 2, share, &[1, 2]).unwrap();
-        assert!(r_two < r_clean);
+        for dir in [Direction::Uplink, Direction::Downlink] {
+            let clean = time(&env, 0, dir, payload, 2, share, &[]);
+            let one = time(&env, 0, dir, payload, 2, share, &[1]);
+            let two = time(&env, 0, dir, payload, 2, share, &[1, 2]);
+            assert!(one.as_secs_f64() > clean.as_secs_f64(), "{dir:?}");
+            assert!(two.as_secs_f64() > one.as_secs_f64(), "{dir:?}");
+        }
+        let cond = env.conditions(2).unwrap();
+        assert!(env.link(&cond, 0, Direction::Uplink, share, &[9]).is_err());
     }
 
     #[test]
@@ -1240,12 +1237,9 @@ mod tests {
             .unwrap();
         assert_eq!(env.interference(), Some(spec));
         let share = Hertz::from_mhz(1.0);
-        let a = env
-            .uplink_time_among(0, Bytes::new(100_000), 1, share, &[1])
-            .unwrap();
-        let b = env
-            .uplink_time_among(0, Bytes::new(100_000), 3, share, &[1])
-            .unwrap();
+        let payload = Bytes::new(100_000);
+        let a = time(&env, 0, Direction::Uplink, payload, 1, share, &[1]);
+        let b = time(&env, 0, Direction::Uplink, payload, 3, share, &[1]);
         assert_ne!(a, b, "mobility must move the interferer too");
         assert!(DynamicEnvironment::builder(base(1))
             .interference(InterferenceSpec { reuse_factor: 2.0 })
@@ -1266,6 +1260,7 @@ mod tests {
         );
         let cond = env.conditions(0).unwrap();
         assert!(cond.clients.iter().all(|c| c.ap == 0));
+        assert!(cond.ap_paths.is_empty());
     }
 
     #[test]
@@ -1273,6 +1268,11 @@ mod tests {
         let env = StaticEnvironment::new(base(2));
         assert!(env.distance(9, 0).is_err());
         assert!(env.device_rate(9, 0).is_err());
-        assert!(env.uplink_gain(9, 0).is_err());
+        assert!(env.client_conditions(9, 0).is_err());
+        let cond = env.conditions(0).unwrap();
+        assert!(cond.client(9).is_err());
+        assert!(env
+            .link(&cond, 9, Direction::Downlink, Hertz::from_mhz(1.0), &[])
+            .is_err());
     }
 }

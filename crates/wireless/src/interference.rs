@@ -9,14 +9,12 @@
 //! historical behavior, bit for bit); η = 1 is full-band non-orthogonal
 //! reuse where every concurrent uplink is raw interference.
 //!
-//! Environments that carry a spec answer the
-//! [`crate::environment::ChannelModel::uplink_time_among`] query by
-//! summing the interferers' received powers (through the same path-loss
-//! and fading pipeline as the signal), scaling by η, and feeding the
-//! aggregate into [`crate::link::LinkBudget::sinr`].
+//! Environments that carry a spec price a link against its concurrent
+//! transmitters ([`crate::environment::ChannelModel::link`]) by summing
+//! their received powers from the round snapshot (the same path-loss and
+//! fading pipeline as the signal), scaling by η, and feeding the
+//! aggregate into the SINR ([`crate::link::LinkBudget::rate_bps_at`]).
 
-use crate::link::LinkBudget;
-use crate::units::Meters;
 use crate::{Result, WirelessError};
 use serde::{Deserialize, Serialize};
 
@@ -60,25 +58,6 @@ impl InterferenceSpec {
     }
 }
 
-/// Aggregate in-band interference power (linear milliwatts) at a receiver
-/// from `sources`, each given as `(distance, fading_power_gain)` of a
-/// concurrent transmitter using `budget`'s transmit power and path loss,
-/// scaled by the spec's reuse factor.
-pub fn co_channel_interference_mw(
-    budget: &LinkBudget,
-    sources: &[(Meters, f64)],
-    spec: InterferenceSpec,
-) -> f64 {
-    if !spec.is_active() || sources.is_empty() {
-        return 0.0;
-    }
-    sources
-        .iter()
-        .map(|&(d, g)| budget.rx_power_mw(d, g))
-        .sum::<f64>()
-        * spec.reuse_factor
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,30 +73,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn aggregate_is_additive_and_scaled() {
-        let lb = LinkBudget::uplink_default();
-        let spec = InterferenceSpec { reuse_factor: 0.5 };
-        let one = co_channel_interference_mw(&lb, &[(Meters::new(80.0), 1.0)], spec);
-        let two = co_channel_interference_mw(
-            &lb,
-            &[(Meters::new(80.0), 1.0), (Meters::new(80.0), 1.0)],
-            spec,
-        );
-        assert!(one > 0.0);
-        assert!((two / one - 2.0).abs() < 1e-12);
-        assert_eq!(
-            co_channel_interference_mw(&lb, &[], spec),
-            0.0,
-            "no sources, no interference"
-        );
-        let orthogonal = InterferenceSpec { reuse_factor: 0.0 };
-        assert_eq!(
-            co_channel_interference_mw(&lb, &[(Meters::new(80.0), 1.0)], orthogonal),
-            0.0
-        );
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!
 //! Fading is block-constant per round; bandwidth defaults to the full
 //! channel (sequential protocols) and can be overridden per call with an
-//! allocated share (concurrent protocols).
+//! allocated share (concurrent protocols). The environments in
+//! [`crate::environment`] price rounds from this model's budgets and
+//! fading streams through a per-round snapshot instead of these
+//! per-transfer queries.
 
 use crate::device::{DeviceHeterogeneity, DeviceProfile};
 use crate::energy::PowerProfile;
@@ -141,56 +144,8 @@ impl LatencyModel {
         share: Hertz,
     ) -> Result<Seconds> {
         let d = self.topology.distance(client)?;
-        self.uplink_time_at(client, payload, round, share, d)
-    }
-
-    /// [`LatencyModel::uplink_time_with`] at an explicit distance —
-    /// the seam mobility-driven environments use to override placement
-    /// while keeping the link composition (fading stream, budget) in one
-    /// place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::Config`] on zero share.
-    pub fn uplink_time_at(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        distance: Meters,
-    ) -> Result<Seconds> {
-        self.uplink_time_at_sinr(client, payload, round, share, distance, 0.0)
-    }
-
-    /// [`LatencyModel::uplink_time_at`] under `interference_mw` of
-    /// aggregate co-channel interference power — the seam
-    /// interference-aware environments use. Zero interference is
-    /// bit-identical to the interference-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::Config`] on zero share.
-    pub fn uplink_time_at_sinr(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        distance: Meters,
-        interference_mw: f64,
-    ) -> Result<Seconds> {
-        let gain = self.fading.power_gain(self.uplink_link_id(client), round);
         self.uplink
-            .transmit_time_sinr(payload, distance, share, gain, interference_mw)
-    }
-
-    /// Received power (linear milliwatts) that `client`, transmitting on
-    /// the uplink in `round` from `distance`, lands at a receiver —
-    /// its co-channel interference contribution before reuse scaling.
-    pub fn uplink_rx_power_mw(&self, client: usize, round: u64, distance: Meters) -> f64 {
-        let gain = self.fading.power_gain(self.uplink_link_id(client), round);
-        self.uplink.rx_power_mw(distance, gain)
+            .transmit_time(payload, d, share, self.uplink_gain(client, round))
     }
 
     /// The uplink link budget (shared by all clients).
@@ -221,47 +176,8 @@ impl LatencyModel {
         share: Hertz,
     ) -> Result<Seconds> {
         let d = self.topology.distance(client)?;
-        self.downlink_time_at(client, payload, round, share, d)
-    }
-
-    /// [`LatencyModel::downlink_time_with`] at an explicit distance
-    /// (see [`LatencyModel::uplink_time_at`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::Config`] on zero share.
-    pub fn downlink_time_at(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        distance: Meters,
-    ) -> Result<Seconds> {
-        self.downlink_time_at_sinr(client, payload, round, share, distance, 0.0)
-    }
-
-    /// [`LatencyModel::downlink_time_at`] under `interference_mw` of
-    /// aggregate co-channel interference power heard at the client — the
-    /// seam interference-aware environments use for concurrent AP
-    /// downlinks. Zero interference is bit-identical to the
-    /// interference-free path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::Config`] on zero share.
-    pub fn downlink_time_at_sinr(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        distance: Meters,
-        interference_mw: f64,
-    ) -> Result<Seconds> {
-        let gain = self.fading.power_gain(self.downlink_link_id(client), round);
         self.downlink
-            .transmit_time_sinr(payload, distance, share, gain, interference_mw)
+            .transmit_time(payload, d, share, self.downlink_gain(client, round))
     }
 
     /// The downlink link budget (shared by all clients).
@@ -269,42 +185,16 @@ impl LatencyModel {
         &self.downlink
     }
 
-    /// Achievable uplink rate in bits/s over `share` bandwidth (used by
-    /// channel-aware allocation).
+    /// Achievable uplink rate in bits/s over `share` bandwidth.
     ///
     /// # Errors
     ///
     /// Returns [`WirelessError::UnknownClient`] for bad indices.
     pub fn uplink_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64> {
         let d = self.topology.distance(client)?;
-        Ok(self.uplink_rate_bps_at(client, round, share, d))
-    }
-
-    /// [`LatencyModel::uplink_rate_bps`] at an explicit distance
-    /// (see [`LatencyModel::uplink_time_at`]).
-    pub fn uplink_rate_bps_at(
-        &self,
-        client: usize,
-        round: u64,
-        share: Hertz,
-        distance: Meters,
-    ) -> f64 {
-        self.uplink_rate_bps_at_sinr(client, round, share, distance, 0.0)
-    }
-
-    /// [`LatencyModel::uplink_rate_bps_at`] under aggregate co-channel
-    /// interference power.
-    pub fn uplink_rate_bps_at_sinr(
-        &self,
-        client: usize,
-        round: u64,
-        share: Hertz,
-        distance: Meters,
-        interference_mw: f64,
-    ) -> f64 {
-        let gain = self.fading.power_gain(self.uplink_link_id(client), round);
-        self.uplink
-            .rate_bps_sinr(distance, share, gain, interference_mw)
+        Ok(self
+            .uplink
+            .rate_bps(d, share, self.uplink_gain(client, round)))
     }
 
     /// On-device compute time for `client`.

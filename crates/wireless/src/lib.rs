@@ -23,9 +23,10 @@
 //! * [`topology`] — client placement around the AP,
 //! * [`latency`] — the composed latency model: transmission and
 //!   computation times for arbitrary payloads and FLOP counts,
-//! * [`environment`] — the pluggable [`ChannelModel`] trait with static
-//!   and time-varying implementations ([`RoundConditions`] snapshots,
-//!   mobility drift, diurnal bandwidth, stragglers, dropouts),
+//! * [`environment`] — the pluggable [`ChannelModel`] trait: each round
+//!   is drawn once into a [`RoundConditions`] snapshot and links are
+//!   priced over it; static and time-varying implementations (mobility
+//!   drift, diurnal bandwidth, stragglers, dropouts),
 //! * [`fault`] — seeded mid-round fault injection (transfer loss with
 //!   retry/backoff pricing, mid-compute crashes, AP outage windows,
 //!   round-start dropouts) behind [`fault::FaultInjector`],
@@ -80,7 +81,7 @@ pub mod trace;
 pub mod units;
 
 pub use backhaul::BackhaulLink;
-pub use environment::{ChannelModel, RoundConditions};
+pub use environment::{ChannelModel, Direction, Link, RoundConditions};
 pub use error::WirelessError;
 pub use fault::{FaultInjector, FaultSpec, RetryPolicy, TransferOutcome};
 pub use interference::InterferenceSpec;

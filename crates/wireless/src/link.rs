@@ -54,39 +54,40 @@ impl LinkBudget {
         self.pathloss.validate()
     }
 
+    /// Received signal power in dBm at `distance` with the given fading
+    /// power gain (`fading_power_gain` = |h|², 1.0 for no fading): the
+    /// path-loss and gain logarithms every rate at this link shares. A
+    /// round snapshot stores it once per client and direction.
+    pub fn rx_dbm(&self, distance: Meters, fading_power_gain: f64) -> f64 {
+        self.tx_power
+            .minus_db(self.pathloss.loss_db(distance))
+            .as_dbm()
+            + 10.0 * fading_power_gain.max(f64::MIN_POSITIVE).log10()
+    }
+
+    /// Thermal-plus-figure noise power in dBm over `bandwidth`.
+    fn noise_dbm(&self, bandwidth: Hertz) -> f64 {
+        self.noise_dbm_per_hz + 10.0 * bandwidth.as_hz().max(1.0).log10() + self.noise_figure_db
+    }
+
     /// Linear SNR at `distance` over `bandwidth` with an extra fading gain
     /// (`fading_power_gain` = |h|², 1.0 for no fading).
     pub fn snr(&self, distance: Meters, bandwidth: Hertz, fading_power_gain: f64) -> f64 {
-        let rx_dbm = self
-            .tx_power
-            .minus_db(self.pathloss.loss_db(distance))
-            .as_dbm()
-            + 10.0 * fading_power_gain.max(f64::MIN_POSITIVE).log10();
-        let noise_dbm = self.noise_dbm_per_hz
-            + 10.0 * bandwidth.as_hz().max(1.0).log10()
-            + self.noise_figure_db;
-        10f64.powf((rx_dbm - noise_dbm) / 10.0)
+        let rx_dbm = self.rx_dbm(distance, fading_power_gain);
+        10f64.powf((rx_dbm - self.noise_dbm(bandwidth)) / 10.0)
     }
 
     /// Received signal power in linear milliwatts at `distance` with the
     /// given fading power gain — the quantity one transmitter contributes
     /// as co-channel interference at a receiver it is not addressing.
     pub fn rx_power_mw(&self, distance: Meters, fading_power_gain: f64) -> f64 {
-        let rx_dbm = self
-            .tx_power
-            .minus_db(self.pathloss.loss_db(distance))
-            .as_dbm()
-            + 10.0 * fading_power_gain.max(f64::MIN_POSITIVE).log10();
-        10f64.powf(rx_dbm / 10.0)
+        10f64.powf(self.rx_dbm(distance, fading_power_gain) / 10.0)
     }
 
     /// Thermal-plus-figure noise power in linear milliwatts over
     /// `bandwidth`.
     pub fn noise_power_mw(&self, bandwidth: Hertz) -> f64 {
-        let noise_dbm = self.noise_dbm_per_hz
-            + 10.0 * bandwidth.as_hz().max(1.0).log10()
-            + self.noise_figure_db;
-        10f64.powf(noise_dbm / 10.0)
+        10f64.powf(self.noise_dbm(bandwidth) / 10.0)
     }
 
     /// Linear SINR: SNR degraded by `interference_mw` of co-channel
@@ -120,7 +121,25 @@ impl LinkBudget {
         fading_power_gain: f64,
         interference_mw: f64,
     ) -> f64 {
-        let sinr = self.sinr(distance, bandwidth, fading_power_gain, interference_mw);
+        self.rate_bps_at(
+            self.rx_dbm(distance, fading_power_gain),
+            bandwidth,
+            interference_mw,
+        )
+    }
+
+    /// Shannon-capacity rate in bits/s over `bandwidth` for a signal
+    /// received at `rx_dbm` (see [`LinkBudget::rx_dbm`]) under
+    /// `interference_mw` of co-channel interference. Bit-identical to
+    /// [`LinkBudget::rate_bps_sinr`] at the distance and gain `rx_dbm`
+    /// was computed from; zero interference skips the noise-power term
+    /// (`x / (1.0 + 0.0) == x`).
+    pub fn rate_bps_at(&self, rx_dbm: f64, bandwidth: Hertz, interference_mw: f64) -> f64 {
+        let noise_dbm = self.noise_dbm(bandwidth);
+        let mut sinr = 10f64.powf((rx_dbm - noise_dbm) / 10.0);
+        if interference_mw != 0.0 {
+            sinr /= 1.0 + interference_mw / 10f64.powf(noise_dbm / 10.0);
+        }
         bandwidth.as_hz() * (1.0 + sinr).log2()
     }
 
@@ -241,6 +260,25 @@ mod tests {
                 let d = Meters::new(d);
                 assert_eq!(lb.sinr(d, bw, g, 0.0), lb.snr(d, bw, g));
                 assert_eq!(lb.rate_bps_sinr(d, bw, g, 0.0), lb.rate_bps(d, bw, g));
+            }
+        }
+    }
+
+    #[test]
+    fn rate_from_received_power_is_bitwise_the_sinr_formula() {
+        let lb = LinkBudget::uplink_default();
+        for bw in [Hertz::from_mhz(0.3), Hertz::from_mhz(2.0)] {
+            for d in [5.0f64, 50.0, 180.0] {
+                for g in [0.01f64, 1.0, 2.5] {
+                    for i_mw in [0.0f64, 1e-12, 3e-9] {
+                        let d = Meters::new(d);
+                        let formula = bw.as_hz() * (1.0 + lb.sinr(d, bw, g, i_mw)).log2();
+                        assert_eq!(
+                            lb.rate_bps_at(lb.rx_dbm(d, g), bw, i_mw).to_bits(),
+                            formula.to_bits()
+                        );
+                    }
+                }
             }
         }
     }

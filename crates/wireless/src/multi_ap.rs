@@ -16,8 +16,11 @@
 //!   discrete-event round simulation contends server-side work per AP
 //!   through [`ChannelModel::server_at`] / [`ChannelModel::ap_of`].
 //! * **Interference** — concurrent uplink transmitters are heard at the
-//!   victim's serving AP through the same path-loss pipeline as the
-//!   signal, scaled by the [`InterferenceSpec`] reuse factor.
+//!   victim's serving AP, and concurrent downlinks from the APs serving
+//!   their receivers, through the same path-loss pipeline as the signal,
+//!   scaled by the [`InterferenceSpec`] reuse factor. With interference
+//!   on, each round's snapshot carries every client's path to every AP
+//!   ([`RoundConditions::ap_paths`]).
 //!
 //! **Degenerate case, guaranteed:** one AP at the origin, no interference
 //! and stationary (or any) mobility reproduces the single-AP environment
@@ -26,12 +29,15 @@
 
 use crate::backhaul::BackhaulLink;
 use crate::energy::PowerProfile;
-use crate::environment::ChannelModel;
-use crate::interference::{co_channel_interference_mw, InterferenceSpec};
+use crate::environment::{
+    radio_conditions, radio_link, ApPath, ChannelModel, ClientConditions, Direction, Link,
+    RoundConditions,
+};
+use crate::interference::InterferenceSpec;
 use crate::latency::LatencyModel;
 use crate::mobility::{Mobility, Stationary};
 use crate::server::EdgeServer;
-use crate::units::{Bytes, FlopsRate, Hertz, Meters, Seconds};
+use crate::units::{Hertz, Meters, Seconds};
 use crate::{Result, WirelessError};
 use gsfl_tensor::rng::SeedDerive;
 use rand::Rng;
@@ -302,59 +308,6 @@ impl MultiApEnvironment {
     pub fn aps(&self) -> &[AccessPoint] {
         &self.aps
     }
-
-    fn interference_mw(&self, client: usize, round: u64, interferers: &[usize]) -> Result<f64> {
-        let Some(spec) = self.interference else {
-            return Ok(0.0);
-        };
-        let victim_ap = self.association(client, round)?;
-        let mut sources = Vec::with_capacity(interferers.len());
-        for &i in interferers {
-            if i == client {
-                continue;
-            }
-            // The interferer is heard at the *victim's* serving AP from
-            // wherever the interferer currently is.
-            let d = self.distance_to_ap(i, victim_ap, round)?;
-            sources.push((d, self.base.uplink_gain(i, round)));
-        }
-        Ok(co_channel_interference_mw(
-            self.base.uplink_budget(),
-            &sources,
-            spec,
-        ))
-    }
-
-    /// Downlink twin of [`MultiApEnvironment::interference_mw`]: each
-    /// concurrent downlink is transmitted by the AP *serving that
-    /// receiver*, and is heard at the victim client from the victim's
-    /// distance to that AP (with the victim's downlink fading state —
-    /// the cross-AP path has no stream of its own).
-    fn downlink_interference_mw(
-        &self,
-        client: usize,
-        round: u64,
-        receivers: &[usize],
-    ) -> Result<f64> {
-        let Some(spec) = self.interference else {
-            return Ok(0.0);
-        };
-        let gain = self.base.downlink_gain(client, round);
-        let mut sources = Vec::with_capacity(receivers.len());
-        for &r in receivers {
-            if r == client {
-                continue;
-            }
-            let serving_ap = self.association(r, round)?;
-            let d = self.distance_to_ap(client, serving_ap, round)?;
-            sources.push((d, gain));
-        }
-        Ok(co_channel_interference_mw(
-            self.base.downlink_budget(),
-            &sources,
-            spec,
-        ))
-    }
 }
 
 impl MultiApEnvironmentBuilder {
@@ -491,49 +444,60 @@ impl ChannelModel for MultiApEnvironment {
         self.base.power()
     }
 
-    fn distance(&self, client: usize, round: u64) -> Result<Meters> {
+    fn client_conditions(&self, client: usize, round: u64) -> Result<ClientConditions> {
         let ap = self.association(client, round)?;
-        self.distance_to_ap(client, ap, round)
+        let distance = self.distance_to_ap(client, ap, round)?;
+        let rate = self.base.device(client)?.rate();
+        Ok(radio_conditions(
+            &self.base, client, round, distance, rate, true, ap,
+        ))
     }
 
-    fn device_rate(&self, client: usize, _round: u64) -> Result<FlopsRate> {
-        Ok(self.base.device(client)?.rate())
+    /// The per-client draw plus, when several APs interfere, every
+    /// client's path to every AP: a transmitter is heard at the APs it
+    /// is not associated with from wherever it currently is.
+    fn conditions(&self, round: u64) -> Result<RoundConditions> {
+        let clients = (0..self.client_count())
+            .map(|c| self.client_conditions(c, round))
+            .collect::<Result<Vec<ClientConditions>>>()?;
+        let mut ap_paths = Vec::new();
+        if self.aps.len() > 1 && self.interference.is_some_and(|s| s.is_active()) {
+            ap_paths.reserve(clients.len() * self.aps.len());
+            for entry in &clients {
+                for ap in 0..self.aps.len() {
+                    let d = self.distance_to_ap(entry.client, ap, round)?;
+                    ap_paths.push(ApPath {
+                        uplink_rx_dbm: self.base.uplink_budget().rx_dbm(d, entry.uplink_gain),
+                        downlink_rx_dbm: self.base.downlink_budget().rx_dbm(d, entry.downlink_gain),
+                    });
+                }
+            }
+        }
+        Ok(RoundConditions {
+            round,
+            bandwidth: self.total_bandwidth(round),
+            clients,
+            ap_paths,
+        })
     }
 
-    fn uplink_time(
+    fn link(
         &self,
+        cond: &RoundConditions,
         client: usize,
-        payload: Bytes,
-        round: u64,
+        dir: Direction,
         share: Hertz,
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        self.base.uplink_time_at(client, payload, round, share, d)
-    }
-
-    fn downlink_time(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        self.base.downlink_time_at(client, payload, round, share, d)
-    }
-
-    fn uplink_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64> {
-        let d = self.distance(client, round)?;
-        Ok(self.base.uplink_rate_bps_at(client, round, share, d))
-    }
-
-    fn uplink_gain(&self, client: usize, round: u64) -> Result<f64> {
-        self.base.distance(client)?; // index check
-        Ok(self.base.uplink_gain(client, round))
-    }
-
-    fn client_compute(&self, client: usize, flops: u64, _round: u64) -> Result<Seconds> {
-        self.base.client_compute(client, flops)
+        concurrent: &[usize],
+    ) -> Result<Link> {
+        radio_link(
+            &self.base,
+            self.interference,
+            cond,
+            client,
+            dir,
+            share,
+            concurrent,
+        )
     }
 
     fn server_compute(&self, flops: u64) -> Seconds {
@@ -542,48 +506,6 @@ impl ChannelModel for MultiApEnvironment {
 
     fn interference(&self) -> Option<InterferenceSpec> {
         self.interference
-    }
-
-    fn uplink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        let i_mw = self.interference_mw(client, round, interferers)?;
-        self.base
-            .uplink_time_at_sinr(client, payload, round, share, d, i_mw)
-    }
-
-    fn uplink_rate_bps_among(
-        &self,
-        client: usize,
-        round: u64,
-        share: Hertz,
-        interferers: &[usize],
-    ) -> Result<f64> {
-        let d = self.distance(client, round)?;
-        let i_mw = self.interference_mw(client, round, interferers)?;
-        Ok(self
-            .base
-            .uplink_rate_bps_at_sinr(client, round, share, d, i_mw))
-    }
-
-    fn downlink_time_among(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-        receivers: &[usize],
-    ) -> Result<Seconds> {
-        let d = self.distance(client, round)?;
-        let i_mw = self.downlink_interference_mw(client, round, receivers)?;
-        self.base
-            .downlink_time_at_sinr(client, payload, round, share, d, i_mw)
     }
 
     fn ap_count(&self) -> usize {
@@ -616,6 +538,7 @@ mod tests {
     use super::*;
     use crate::environment::StaticEnvironment;
     use crate::mobility::RandomWaypoint;
+    use crate::units::FlopsRate;
 
     fn base(clients: usize) -> LatencyModel {
         LatencyModel::builder()
@@ -645,18 +568,10 @@ mod tests {
     fn single_ap_is_bitwise_static_environment() {
         let multi = MultiApEnvironment::builder(base(4)).build().unwrap();
         let single = StaticEnvironment::new(base(4));
-        let payload = Bytes::new(150_000);
-        let share = Hertz::from_mhz(1.0);
         for round in 0..6u64 {
+            let cond = multi.conditions(round).unwrap();
+            assert_eq!(cond, single.conditions(round).unwrap());
             for c in 0..4 {
-                assert_eq!(
-                    multi.uplink_time(c, payload, round, share).unwrap(),
-                    single.uplink_time(c, payload, round, share).unwrap()
-                );
-                assert_eq!(
-                    multi.downlink_time(c, payload, round, share).unwrap(),
-                    single.downlink_time(c, payload, round, share).unwrap()
-                );
                 assert_eq!(
                     multi.distance(c, round).unwrap(),
                     single.distance(c, round).unwrap()
@@ -811,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_ap_interference_slows_uplinks() {
+    fn cross_ap_interference_slows_both_directions() {
         let env = MultiApEnvironment::builder(base(4))
             .line(2, 100.0)
             .unwrap()
@@ -820,13 +735,19 @@ mod tests {
             .build()
             .unwrap();
         let share = Hertz::from_mhz(1.0);
-        let clean = env
-            .uplink_time_among(0, Bytes::new(100_000), 1, share, &[])
-            .unwrap();
-        let noisy = env
-            .uplink_time_among(0, Bytes::new(100_000), 1, share, &[1, 2, 3])
-            .unwrap();
-        assert!(noisy.as_secs_f64() > clean.as_secs_f64());
+        let cond = env.conditions(1).unwrap();
+        assert_eq!(cond.ap_paths.len(), 4 * 2, "one path per client and AP");
+        for dir in [Direction::Uplink, Direction::Downlink] {
+            let clean = env.link(&cond, 0, dir, share, &[]).unwrap();
+            let noisy = env.link(&cond, 0, dir, share, &[1, 2, 3]).unwrap();
+            assert!(noisy.rate_bps < clean.rate_bps, "{dir:?}");
+        }
+        // A client's path to its own AP is its own link.
+        for c in 0..4 {
+            let own = cond.clients[c].radio().unwrap();
+            let path = cond.ap_paths[c * 2 + cond.clients[c].ap];
+            assert_eq!((path.uplink_rx_dbm, path.downlink_rx_dbm), own);
+        }
     }
 
     #[test]

@@ -698,7 +698,31 @@ fn waypoints(m: MobilitySpec, seed: u64) -> Result<RandomWaypoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::{Bytes, Hertz};
+    use crate::environment::Direction;
+    use crate::units::{Bytes, Hertz, Seconds};
+
+    /// Client 0's uplink time for `payload` in `round` at `share`,
+    /// against `concurrent`, from a fresh snapshot.
+    fn uplink(
+        env: &dyn ChannelModel,
+        payload: Bytes,
+        round: u64,
+        share: Hertz,
+        concurrent: &[usize],
+    ) -> Seconds {
+        let cond = env.conditions(round).unwrap();
+        env.link(&cond, 0, Direction::Uplink, share, concurrent)
+            .unwrap()
+            .time(payload)
+            .unwrap()
+    }
+
+    /// Client 0's time for a GFLOP of local work in round 0.
+    fn gflop_time(env: &dyn ChannelModel) -> Seconds {
+        env.client_conditions(0, 0)
+            .unwrap()
+            .compute_time(1_000_000_000)
+    }
 
     fn base() -> LatencyModel {
         LatencyModel::builder().clients(3).seed(2).build().unwrap()
@@ -743,9 +767,7 @@ mod tests {
             let env = scenario.build(base(), 7).unwrap();
             let share = Hertz::from_mhz(1.0);
             for round in 0..4u64 {
-                let t = env
-                    .uplink_time(0, Bytes::new(10_000), round, share)
-                    .unwrap();
+                let t = uplink(env.as_ref(), Bytes::new(10_000), round, share, &[]);
                 assert!(t.as_secs_f64() > 0.0, "{}", scenario.name());
                 let cond = env.conditions(round).unwrap();
                 assert_eq!(cond.clients.len(), 3, "{}", scenario.name());
@@ -779,10 +801,8 @@ mod tests {
         let env = scenario.build(base(), 3).unwrap();
         assert!(env.total_bandwidth(5).as_hz() < env.total_bandwidth(0).as_hz());
         assert_ne!(env.distance(0, 0).unwrap(), env.distance(0, 7).unwrap());
-        let slow = env.client_compute(0, 1_000_000_000, 0).unwrap();
-        let fast = StaticEnvironment::new(base())
-            .client_compute(0, 1_000_000_000, 0)
-            .unwrap();
+        let slow = gflop_time(env.as_ref());
+        let fast = gflop_time(&StaticEnvironment::new(base()));
         assert!(slow.as_secs_f64() > fast.as_secs_f64());
     }
 
@@ -866,12 +886,8 @@ mod tests {
             .build(base(), 1)
             .unwrap();
         let share = Hertz::from_mhz(1.0);
-        let clean = env
-            .uplink_time_among(0, Bytes::new(50_000), 0, share, &[])
-            .unwrap();
-        let contested = env
-            .uplink_time_among(0, Bytes::new(50_000), 0, share, &[1, 2])
-            .unwrap();
+        let clean = uplink(env.as_ref(), Bytes::new(50_000), 0, share, &[]);
+        let contested = uplink(env.as_ref(), Bytes::new(50_000), 0, share, &[1, 2]);
         assert!(contested.as_secs_f64() > clean.as_secs_f64());
     }
 
@@ -966,14 +982,8 @@ mod tests {
         let share = Hertz::from_mhz(1.0);
         // The diurnal wave makes congestion-peak rounds slower than the
         // off-peak start (round_s 30 s × 12 rounds = the 360 s trough).
-        let off_peak = env
-            .uplink_time(0, Bytes::new(100_000), 0, share)
-            .unwrap()
-            .as_secs_f64();
-        let peak = env
-            .uplink_time(0, Bytes::new(100_000), 12, share)
-            .unwrap()
-            .as_secs_f64();
+        let off_peak = uplink(env.as_ref(), Bytes::new(100_000), 0, share, &[]).as_secs_f64();
+        let peak = uplink(env.as_ref(), Bytes::new(100_000), 12, share, &[]).as_secs_f64();
         assert!(peak > off_peak, "peak {peak} vs off-peak {off_peak}");
         // Bad parameters fail at build.
         assert!(Scenario::TraceReplay(TraceReplaySpec {
@@ -1055,10 +1065,8 @@ mod tests {
         assert!(dropped, "chaos must drop clients");
         assert!(outage, "chaos must take the AP dark");
         // Stragglers ride along.
-        let slow = env.client_compute(0, 1_000_000_000, 0).unwrap();
-        let fast = StaticEnvironment::new(base())
-            .client_compute(0, 1_000_000_000, 0)
-            .unwrap();
+        let slow = gflop_time(env.as_ref());
+        let fast = gflop_time(&StaticEnvironment::new(base()));
         assert!(slow.as_secs_f64() >= fast.as_secs_f64());
         assert!(Scenario::Chaos(ChaosSpec {
             faults: FaultSpec {

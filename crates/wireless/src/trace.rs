@@ -34,10 +34,12 @@
 //! preset.
 
 use crate::energy::PowerProfile;
-use crate::environment::ChannelModel;
+use crate::environment::{
+    ChannelModel, ClientConditions, Direction, Link, LinkState, RoundConditions,
+};
 use crate::latency::LatencyModel;
 use crate::server::EdgeServer;
-use crate::units::{Bytes, FlopsRate, Hertz, Meters, Seconds};
+use crate::units::{Hertz, Seconds};
 use crate::{Result, WirelessError};
 use serde::{Deserialize, Serialize};
 
@@ -173,7 +175,7 @@ pub enum Resample {
 
 /// The reconstructed link state of one client at one trace instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct LinkState {
+struct TracedLink {
     bandwidth_bps: f64,
     rtt_s: f64,
     available: bool,
@@ -238,7 +240,7 @@ impl TraceEnvironment {
     }
 
     /// The reconstructed link state of `client` at round `round`.
-    fn link_state(&self, client: usize, round: u64) -> LinkState {
+    fn link_state(&self, client: usize, round: u64) -> TracedLink {
         let series = &self.trace.clients[client % self.trace.clients.len()].samples;
         let first = series[0].time_s;
         let last = series[series.len() - 1].time_s;
@@ -260,7 +262,7 @@ impl TraceEnvironment {
             .saturating_sub(1)
             .min(series.len() - 1);
         let cur = &series[idx];
-        let state_of = |s: &TraceSample| LinkState {
+        let state_of = |s: &TraceSample| TracedLink {
             bandwidth_bps: s.bandwidth_bps,
             rtt_s: s.rtt_s.unwrap_or(0.0),
             available: s.available.unwrap_or(true),
@@ -276,7 +278,7 @@ impl TraceEnvironment {
                 let w = if dt > 0.0 { (t - cur.time_s) / dt } else { 0.0 };
                 let a = state_of(cur);
                 let b = state_of(next);
-                LinkState {
+                TracedLink {
                     bandwidth_bps: a.bandwidth_bps + w * (b.bandwidth_bps - a.bandwidth_bps),
                     rtt_s: a.rtt_s + w * (b.rtt_s - a.rtt_s),
                     // Availability is categorical: always hold.
@@ -284,33 +286,6 @@ impl TraceEnvironment {
                 }
             }
         }
-    }
-
-    /// The traced rate of `client` over `share` of the system band.
-    fn shared_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64> {
-        self.check_client(client)?;
-        let total = self.base.total_bandwidth().as_hz();
-        let frac = share.as_hz() / total;
-        if !frac.is_finite() || frac <= 0.0 {
-            return Err(WirelessError::Config(format!(
-                "bandwidth share must be > 0, got {} Hz of {} Hz",
-                share.as_hz(),
-                total
-            )));
-        }
-        Ok(self.link_state(client, round).bandwidth_bps * frac)
-    }
-
-    fn transfer_time(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds> {
-        let rate = self.shared_rate_bps(client, round, share)?;
-        let rtt = self.link_state(client, round).rtt_s;
-        Ok(Seconds::new(payload.as_bits() as f64 / rate + rtt))
     }
 }
 
@@ -331,45 +306,58 @@ impl ChannelModel for TraceEnvironment {
         self.base.power()
     }
 
-    fn distance(&self, client: usize, _round: u64) -> Result<Meters> {
-        self.base.distance(client)
+    fn client_conditions(&self, client: usize, round: u64) -> Result<ClientConditions> {
+        self.check_client(client)?;
+        let state = self.link_state(client, round);
+        Ok(ClientConditions {
+            client,
+            distance: self.base.distance(client)?,
+            compute_rate: self.base.device(client)?.rate(),
+            uplink_gain: self.base.uplink_gain(client, round),
+            downlink_gain: self.base.downlink_gain(client, round),
+            available: state.available,
+            ap: 0,
+            link: LinkState::Measured {
+                bandwidth_bps: state.bandwidth_bps,
+                rtt_s: state.rtt_s,
+            },
+        })
     }
 
-    fn device_rate(&self, client: usize, _round: u64) -> Result<FlopsRate> {
-        Ok(self.base.device(client)?.rate())
-    }
-
-    fn uplink_time(
+    /// The traced rate over `share` of the system band (the proportional
+    /// slice of the client's full-band throughput), plus its RTT floor.
+    /// Traces carry no interference.
+    fn link(
         &self,
+        cond: &RoundConditions,
         client: usize,
-        payload: Bytes,
-        round: u64,
+        _dir: Direction,
         share: Hertz,
-    ) -> Result<Seconds> {
-        self.transfer_time(client, payload, round, share)
-    }
-
-    fn downlink_time(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds> {
-        self.transfer_time(client, payload, round, share)
-    }
-
-    fn uplink_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64> {
-        self.shared_rate_bps(client, round, share)
-    }
-
-    fn uplink_gain(&self, client: usize, round: u64) -> Result<f64> {
-        self.base.distance(client)?; // index check
-        Ok(self.base.uplink_gain(client, round))
-    }
-
-    fn client_compute(&self, client: usize, flops: u64, _round: u64) -> Result<Seconds> {
-        self.base.client_compute(client, flops)
+        _concurrent: &[usize],
+    ) -> Result<Link> {
+        let entry = cond.client(client)?;
+        let LinkState::Measured {
+            bandwidth_bps,
+            rtt_s,
+        } = entry.link
+        else {
+            return Err(WirelessError::Config(format!(
+                "client {client} has a radio link, not a measured one"
+            )));
+        };
+        let total = self.base.total_bandwidth().as_hz();
+        let frac = share.as_hz() / total;
+        if !frac.is_finite() || frac <= 0.0 {
+            return Err(WirelessError::Config(format!(
+                "bandwidth share must be > 0, got {} Hz of {} Hz",
+                share.as_hz(),
+                total
+            )));
+        }
+        Ok(Link {
+            rate_bps: bandwidth_bps * frac,
+            latency_s: rtt_s,
+        })
     }
 
     fn server_compute(&self, flops: u64) -> Seconds {
@@ -387,6 +375,7 @@ impl ChannelModel for TraceEnvironment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::Bytes;
 
     fn base(clients: usize) -> LatencyModel {
         LatencyModel::builder()
@@ -476,32 +465,43 @@ mod tests {
         assert!(err.contains("clients[0].samples[0].bandwidth_bps"), "{err}");
     }
 
+    /// `client`'s link in `round` at `share`, from a fresh snapshot.
+    fn link_at(env: &TraceEnvironment, client: usize, round: u64, share: Hertz) -> Result<Link> {
+        let cond = env.conditions(round)?;
+        env.link(&cond, client, Direction::Uplink, share, &[])
+    }
+
+    fn rate(env: &TraceEnvironment, round: u64) -> f64 {
+        link_at(env, 0, round, env.total_bandwidth(0))
+            .unwrap()
+            .rate_bps
+    }
+
     #[test]
     fn hold_steps_and_interpolate_blends() {
         // round_s = 10 → rounds 0..=10 span the 100 s trace.
         let hold = TraceEnvironment::new(base(1), two_point_trace(), Resample::Hold, 10.0).unwrap();
         let lerp =
             TraceEnvironment::new(base(1), two_point_trace(), Resample::Interpolate, 10.0).unwrap();
-        let share = hold.total_bandwidth(0);
         // Hold: rounds 0..10 read the first sample.
-        assert_eq!(hold.uplink_rate_bps(0, 0, share).unwrap(), 1.0e6);
-        assert_eq!(hold.uplink_rate_bps(0, 9, share).unwrap(), 1.0e6);
+        assert_eq!(rate(&hold, 0), 1.0e6);
+        assert_eq!(rate(&hold, 9), 1.0e6);
         // Interpolate: halfway between samples at round 5.
-        assert!((lerp.uplink_rate_bps(0, 5, share).unwrap() - 2.0e6).abs() < 1e-6);
+        assert!((rate(&lerp, 5) - 2.0e6).abs() < 1e-6);
         // Availability always holds: the first sample (available) rules
         // until the second sample's instant.
         assert!(lerp.is_available(0, 5));
         assert!(!lerp.is_available(0, 10));
+        assert!(!lerp.conditions(10).unwrap().clients[0].available);
     }
 
     #[test]
     fn replay_wraps_cyclically() {
         let env = TraceEnvironment::new(base(1), two_point_trace(), Resample::Hold, 10.0).unwrap();
-        let share = env.total_bandwidth(0);
         // Round 10 hits the last sample; round 11 wraps to 10 s past the
         // start — back on the first sample.
-        assert_eq!(env.uplink_rate_bps(0, 10, share).unwrap(), 3.0e6);
-        assert_eq!(env.uplink_rate_bps(0, 11, share).unwrap(), 1.0e6);
+        assert_eq!(rate(&env, 10), 3.0e6);
+        assert_eq!(rate(&env, 11), 1.0e6);
         assert!(env.is_available(0, 11));
     }
 
@@ -510,14 +510,25 @@ mod tests {
         let env = TraceEnvironment::new(base(2), two_point_trace(), Resample::Hold, 10.0).unwrap();
         let total = env.total_bandwidth(0);
         let payload = Bytes::new(125_000); // 1e6 bits
-        let full = env.uplink_time(0, payload, 0, total).unwrap();
+        let cond = env.conditions(0).unwrap();
+        let time = |client, dir, share| {
+            env.link(&cond, client, dir, share, &[])
+                .unwrap()
+                .time(payload)
+                .unwrap()
+        };
+        let full = time(0, Direction::Uplink, total);
         assert!((full.as_secs_f64() - (1.0 + 0.01)).abs() < 1e-9);
-        let half = env.uplink_time(0, payload, 0, total.fraction(0.5)).unwrap();
+        let half = time(0, Direction::Uplink, total.fraction(0.5));
         assert!((half.as_secs_f64() - (2.0 + 0.01)).abs() < 1e-9);
         // Symmetric capacity: downlink is charged identically.
-        assert_eq!(env.downlink_time(0, payload, 0, total).unwrap(), full);
+        assert_eq!(time(0, Direction::Downlink, total), full);
         // Client 1 reuses series 0 (modulo wrap).
-        assert_eq!(env.uplink_time(1, payload, 0, total).unwrap(), full);
+        assert_eq!(time(1, Direction::Uplink, total), full);
+        // An empty payload still pays the RTT floor; concurrency is free.
+        let link = env.link(&cond, 0, Direction::Uplink, total, &[1]).unwrap();
+        assert_eq!(link.time(Bytes::ZERO).unwrap(), Seconds::new(0.01));
+        assert_eq!(link.time(payload).unwrap(), full);
     }
 
     #[test]
@@ -525,15 +536,16 @@ mod tests {
         let model = base(2);
         let env =
             TraceEnvironment::new(model.clone(), two_point_trace(), Resample::Hold, 10.0).unwrap();
+        let cond = env.conditions(3).unwrap();
         assert_eq!(
-            env.client_compute(0, 1_000_000, 3).unwrap(),
+            cond.clients[0].compute_time(1_000_000),
             model.client_compute(0, 1_000_000).unwrap()
         );
         assert_eq!(env.server_compute(9_000), model.server_compute(9_000));
         assert_eq!(env.distance(1, 0).unwrap(), model.distance(1).unwrap());
         assert_eq!(env.total_bandwidth(7), model.total_bandwidth());
-        let cond = env.conditions(0).unwrap();
         assert_eq!(cond.clients.len(), 2);
+        assert!(cond.clients[0].radio().is_err(), "a trace link is measured");
     }
 
     #[test]
@@ -547,12 +559,9 @@ mod tests {
         };
         assert!(TraceEnvironment::new(base(1), bad, Resample::Hold, 10.0).is_err());
         let env = TraceEnvironment::new(base(1), two_point_trace(), Resample::Hold, 10.0).unwrap();
-        assert!(env
-            .uplink_time(5, Bytes::new(10), 0, env.total_bandwidth(0))
-            .is_err());
-        assert!(env
-            .uplink_time(0, Bytes::new(10), 0, Hertz::new(0.0))
-            .is_err());
+        assert!(link_at(&env, 5, 0, env.total_bandwidth(0)).is_err());
+        assert!(link_at(&env, 0, 0, Hertz::new(0.0)).is_err());
+        assert!(env.client_conditions(5, 0).is_err());
         assert!(!env.is_available(5, 0));
     }
 

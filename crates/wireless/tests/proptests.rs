@@ -2,7 +2,7 @@
 
 use gsfl_tensor::rng::SeedDerive;
 use gsfl_wireless::allocation::{allocate, BandwidthPolicy, LinkDemand};
-use gsfl_wireless::environment::{ChannelModel, DynamicEnvironment, StaticEnvironment};
+use gsfl_wireless::environment::{ChannelModel, Direction, DynamicEnvironment, StaticEnvironment};
 use gsfl_wireless::interference::InterferenceSpec;
 use gsfl_wireless::latency::LatencyModel;
 use gsfl_wireless::link::LinkBudget;
@@ -12,6 +12,23 @@ use gsfl_wireless::pathloss::PathLoss;
 use gsfl_wireless::units::{Bytes, Hertz, Meters, Seconds};
 use gsfl_wireless::{FaultInjector, FaultSpec, TransferOutcome};
 use proptest::prelude::*;
+
+/// `client`'s link in `dir` over `share` in `round`, against the
+/// transmitters in `concurrent`, from a fresh snapshot: `(time of
+/// payload, rate)`.
+fn priced(
+    env: &dyn ChannelModel,
+    client: usize,
+    dir: Direction,
+    payload: u64,
+    round: u64,
+    share: Hertz,
+    concurrent: &[usize],
+) -> (Seconds, f64) {
+    let cond = env.conditions(round).unwrap();
+    let link = env.link(&cond, client, dir, share, concurrent).unwrap();
+    (link.time(Bytes::new(payload)).unwrap(), link.rate_bps)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -121,22 +138,21 @@ proptest! {
         let model = LatencyModel::builder().clients(clients).seed(seed).build().unwrap();
         let env = StaticEnvironment::new(model.clone());
         let share = Hertz::from_mhz(share_mhz);
-        let payload = Bytes::new(payload);
+        let cond = env.conditions(round).unwrap();
         for c in 0..clients {
+            let up = env.link(&cond, c, Direction::Uplink, share, &[]).unwrap();
+            let down = env.link(&cond, c, Direction::Downlink, share, &[]).unwrap();
             prop_assert_eq!(
-                env.uplink_time(c, payload, round, share).unwrap(),
-                model.uplink_time_with(c, payload, round, share).unwrap()
+                up.time(Bytes::new(payload)).unwrap(),
+                model.uplink_time_with(c, Bytes::new(payload), round, share).unwrap()
             );
             prop_assert_eq!(
-                env.downlink_time(c, payload, round, share).unwrap(),
-                model.downlink_time_with(c, payload, round, share).unwrap()
+                down.time(Bytes::new(payload)).unwrap(),
+                model.downlink_time_with(c, Bytes::new(payload), round, share).unwrap()
             );
+            prop_assert_eq!(up.rate_bps, model.uplink_rate_bps(c, round, share).unwrap());
             prop_assert_eq!(
-                env.uplink_rate_bps(c, round, share).unwrap(),
-                model.uplink_rate_bps(c, round, share).unwrap()
-            );
-            prop_assert_eq!(
-                env.client_compute(c, flops, round).unwrap(),
+                cond.clients[c].compute_time(flops),
                 model.client_compute(c, flops).unwrap()
             );
             prop_assert_eq!(env.distance(c, round).unwrap(), model.distance(c).unwrap());
@@ -156,14 +172,11 @@ proptest! {
         let st = StaticEnvironment::new(model.clone());
         let dy = DynamicEnvironment::builder(model).seed(seed).build().unwrap();
         let share = Hertz::from_mhz(1.5);
+        prop_assert_eq!(dy.conditions(round).unwrap(), st.conditions(round).unwrap());
         for c in 0..3 {
             prop_assert_eq!(
-                dy.uplink_time(c, Bytes::new(payload), round, share).unwrap(),
-                st.uplink_time(c, Bytes::new(payload), round, share).unwrap()
-            );
-            prop_assert_eq!(
-                dy.conditions(round).unwrap(),
-                st.conditions(round).unwrap()
+                priced(&dy, c, Direction::Uplink, payload, round, share, &[]),
+                priced(&st, c, Direction::Uplink, payload, round, share, &[])
             );
         }
     }
@@ -201,8 +214,8 @@ proptest! {
             .unwrap();
         let share = Hertz::from_mhz(1.0);
         let t = |interferers: &[usize]| {
-            env.uplink_time_among(0, Bytes::new(100_000), round, share, interferers)
-                .unwrap()
+            priced(&env, 0, Direction::Uplink, 100_000, round, share, interferers)
+                .0
                 .as_secs_f64()
         };
         let t0 = t(&[]);
@@ -242,8 +255,8 @@ proptest! {
         };
         let share = Hertz::from_mhz(1.0);
         let t = |receivers: &[usize]| {
-            env.downlink_time_among(0, Bytes::new(100_000), round, share, receivers)
-                .unwrap()
+            priced(env.as_ref(), 0, Direction::Downlink, 100_000, round, share, receivers)
+                .0
                 .as_secs_f64()
         };
         let t0 = t(&[]);
@@ -254,6 +267,41 @@ proptest! {
         prop_assert!(t3 > t0, "active downlink interference must bite");
         // The victim itself in the receiver set is skipped.
         prop_assert_eq!(t(&[0]), t0);
+    }
+
+    #[test]
+    fn snapshot_interference_is_bitwise_the_link_budget_formula(
+        seed in 0u64..100,
+        round in 0u64..32,
+        reuse in 0.05f64..1.0,
+        share_mhz in 0.2f64..5.0,
+    ) {
+        // Each concurrent transmitter contributes its received power at
+        // the victim, summed in order and scaled by the reuse factor:
+        // uplinks from the interferers' own positions, downlinks from
+        // the AP over the victim's own path.
+        let model = LatencyModel::builder().clients(4).seed(seed).build().unwrap();
+        let env = StaticEnvironment::new(model.clone())
+            .with_interference(InterferenceSpec { reuse_factor: reuse })
+            .unwrap();
+        let share = Hertz::from_mhz(share_mhz);
+        let up = model.uplink_budget();
+        let down = model.downlink_budget();
+        let d = |c: usize| model.distance(c).unwrap();
+        let up_i = (up.rx_power_mw(d(1), model.uplink_gain(1, round))
+            + up.rx_power_mw(d(3), model.uplink_gain(3, round)))
+            * reuse;
+        let own_down = down.rx_power_mw(d(0), model.downlink_gain(0, round));
+        let down_i = (own_down + own_down) * reuse;
+        let cond = env.conditions(round).unwrap();
+        prop_assert_eq!(
+            env.link(&cond, 0, Direction::Uplink, share, &[1, 0, 3]).unwrap().rate_bps,
+            up.rate_bps_sinr(d(0), share, model.uplink_gain(0, round), up_i)
+        );
+        prop_assert_eq!(
+            env.link(&cond, 0, Direction::Downlink, share, &[1, 0, 3]).unwrap().rate_bps,
+            down.rate_bps_sinr(d(0), share, model.downlink_gain(0, round), down_i)
+        );
     }
 
     #[test]
@@ -274,8 +322,8 @@ proptest! {
         let share = Hertz::from_mhz(2.0);
         for c in 0..3 {
             prop_assert_eq!(
-                sinr_env.downlink_time_among(c, Bytes::new(payload), round, share, &[]).unwrap(),
-                plain.downlink_time(c, Bytes::new(payload), round, share).unwrap()
+                priced(&sinr_env, c, Direction::Downlink, payload, round, share, &[]),
+                priced(&plain, c, Direction::Downlink, payload, round, share, &[])
             );
         }
     }
@@ -299,12 +347,8 @@ proptest! {
         let share = Hertz::from_mhz(2.0);
         for c in 0..3 {
             prop_assert_eq!(
-                sinr_env.uplink_time_among(c, Bytes::new(payload), round, share, &[]).unwrap(),
-                plain.uplink_time(c, Bytes::new(payload), round, share).unwrap()
-            );
-            prop_assert_eq!(
-                sinr_env.uplink_rate_bps_among(c, round, share, &[]).unwrap(),
-                plain.uplink_rate_bps(c, round, share).unwrap()
+                priced(&sinr_env, c, Direction::Uplink, payload, round, share, &[]),
+                priced(&plain, c, Direction::Uplink, payload, round, share, &[])
             );
         }
     }
@@ -319,19 +363,14 @@ proptest! {
         let single = StaticEnvironment::new(model.clone());
         let multi = MultiApEnvironment::builder(model).seed(seed).build().unwrap();
         let share = Hertz::from_mhz(1.0);
+        prop_assert_eq!(multi.conditions(round).unwrap(), single.conditions(round).unwrap());
         for c in 0..3 {
-            prop_assert_eq!(
-                multi.uplink_time(c, Bytes::new(payload), round, share).unwrap(),
-                single.uplink_time(c, Bytes::new(payload), round, share).unwrap()
-            );
-            prop_assert_eq!(
-                multi.downlink_time(c, Bytes::new(payload), round, share).unwrap(),
-                single.downlink_time(c, Bytes::new(payload), round, share).unwrap()
-            );
-            prop_assert_eq!(
-                multi.conditions(round).unwrap(),
-                single.conditions(round).unwrap()
-            );
+            for dir in [Direction::Uplink, Direction::Downlink] {
+                prop_assert_eq!(
+                    priced(&multi, c, dir, payload, round, share, &[]),
+                    priced(&single, c, dir, payload, round, share, &[])
+                );
+            }
         }
     }
 

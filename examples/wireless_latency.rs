@@ -8,7 +8,7 @@
 use gsfl::core::latency::{gsfl_round, sl_round, ChannelMode, SplitCosts};
 use gsfl::nn::model::{CutPoint, DeepThin};
 use gsfl::wireless::allocation::BandwidthPolicy;
-use gsfl::wireless::environment::{ChannelModel, StaticEnvironment};
+use gsfl::wireless::environment::{ChannelModel, Direction, StaticEnvironment};
 use gsfl::wireless::latency::LatencyModel;
 use gsfl::wireless::link::LinkBudget;
 use gsfl::wireless::units::{Bytes, Hertz, Meters};
@@ -26,8 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = StaticEnvironment::new(LatencyModel::builder().clients(12).seed(3).build()?);
     println!("\n— per-round fading on client 0 (1 MiB uplink) —");
     for round in 0..4 {
-        let full = model.total_bandwidth(round);
-        let t = model.uplink_time(0, Bytes::new(1 << 20), round, full)?;
+        // One snapshot per round; the link is priced over it.
+        let cond = model.conditions(round)?;
+        let link = model.link(&cond, 0, Direction::Uplink, cond.bandwidth, &[])?;
+        let t = link.time(Bytes::new(1 << 20))?;
         println!("  round {round}: {:.3} s", t.as_secs_f64());
     }
 
