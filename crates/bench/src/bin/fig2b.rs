@@ -6,6 +6,10 @@
 //! The paper reports GSFL reaching target accuracy with ≈31.45 % less
 //! delay than SL.
 //!
+//! The ordering is a gate: the binary exits non-zero unless both schemes
+//! reach at least one common accuracy target and GSFL reaches every such
+//! target in less simulated time than SL.
+//!
 //! Usage: `cargo run -p gsfl-bench --release --bin fig2b [--rounds N] [--full]`
 
 use gsfl_bench::{accuracy_series, paper_config, print_table, rounds_override, save_result};
@@ -57,9 +61,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Headline claim: delay reduction at matched accuracy.
     println!("\nDelay to reach target accuracy (simulated seconds):");
     let mut summary = Vec::new();
+    let mut shared_targets = 0usize;
+    let mut misses = Vec::new();
     for target in [0.6, 0.7, 0.8, 0.9, 0.95] {
         let tg = gsfl.time_to_accuracy(target);
         let ts = sl.time_to_accuracy(target);
+        if let (Some(g), Some(s)) = (tg, ts) {
+            shared_targets += 1;
+            if g >= s {
+                misses.push(format!(
+                    "{:.0}% (GSFL {g:.0}s vs SL {s:.0}s)",
+                    target * 100.0
+                ));
+            }
+        }
         let reduction = match (tg, ts) {
             (Some(g), Some(s)) if s > 0.0 => format!("{:.1}%", (1.0 - g / s) * 100.0),
             _ => "—".into(),
@@ -73,5 +88,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     print_table(&["target", "GSFL_s", "SL_s", "delay_reduction"], &summary);
     println!("\npaper claim: ≈31.45% delay reduction (GSFL vs SL)");
+    if shared_targets == 0 {
+        eprintln!("fig2b gate failed: GSFL and SL reach no accuracy target in common");
+        std::process::exit(1);
+    }
+    if !misses.is_empty() {
+        eprintln!(
+            "fig2b gate failed: GSFL is not faster than SL at {}",
+            misses.join(", ")
+        );
+        std::process::exit(1);
+    }
+    println!("gate: GSFL beats SL at all {shared_targets} target(s) both reach");
     Ok(())
 }

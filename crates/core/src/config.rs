@@ -378,8 +378,17 @@ impl ExperimentConfig {
         if self.local_epochs == 0 {
             return Err(CoreError::Config("local_epochs must be ≥ 1".into()));
         }
-        if self.learning_rate.is_nan() || self.learning_rate <= 0.0 {
-            return Err(CoreError::Config("learning_rate must be > 0".into()));
+        if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 {
+            return Err(CoreError::Config(format!(
+                "learning_rate must be finite and > 0, got {}",
+                self.learning_rate
+            )));
+        }
+        if !(0.0..1.0).contains(&self.momentum) {
+            return Err(CoreError::Config(format!(
+                "momentum must be in [0, 1), got {}",
+                self.momentum
+            )));
         }
         if !self.cut_policy.is_fixed() && !self.orchestrator.is_static() {
             return Err(CoreError::Config(
@@ -430,6 +439,13 @@ impl ExperimentConfig {
                     p.clients, self.clients
                 )));
             }
+        }
+        if self.recovery.backups > 0 && self.population.is_none() {
+            return Err(CoreError::Config(
+                "recovery.backups needs a population: standbys are members \
+                 sampled outside the round's cohort"
+                    .into(),
+            ));
         }
         self.compression.validate()?;
         self.recovery.validate()?;
@@ -666,6 +682,73 @@ mod tests {
             .learning_rate(0.0)
             .build()
             .is_err());
+    }
+
+    /// Asserts `builder` fails validation with a typed config error.
+    fn assert_config_error(builder: ExperimentConfigBuilder, what: &str) {
+        match builder.build() {
+            Err(CoreError::Config(_)) => {}
+            other => panic!("{what}: expected CoreError::Config, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn infinite_learning_rate_is_rejected() {
+        assert_config_error(
+            ExperimentConfig::builder().learning_rate(f32::INFINITY),
+            "learning_rate = +inf",
+        );
+    }
+
+    #[test]
+    fn momentum_above_one_is_rejected() {
+        assert_config_error(ExperimentConfig::builder().momentum(1.5), "momentum = 1.5");
+    }
+
+    #[test]
+    fn momentum_of_one_is_rejected() {
+        assert_config_error(ExperimentConfig::builder().momentum(1.0), "momentum = 1");
+    }
+
+    #[test]
+    fn negative_momentum_is_rejected() {
+        assert_config_error(
+            ExperimentConfig::builder().momentum(-0.3),
+            "momentum = -0.3",
+        );
+    }
+
+    #[test]
+    fn nan_momentum_is_rejected() {
+        assert_config_error(
+            ExperimentConfig::builder().momentum(f32::NAN),
+            "momentum = NaN",
+        );
+    }
+
+    #[test]
+    fn momentum_in_unit_interval_is_accepted() {
+        for m in [0.0, 0.9] {
+            let cfg = ExperimentConfig::builder().momentum(m).build().unwrap();
+            assert_eq!(cfg.momentum, m);
+        }
+    }
+
+    #[test]
+    fn backups_without_a_population_are_rejected() {
+        let backups = RecoverySpec {
+            deadline: None,
+            backups: 2,
+        };
+        assert_config_error(
+            ExperimentConfig::builder().recovery(backups),
+            "dense-mode backups",
+        );
+        ExperimentConfig::builder()
+            .recovery(backups)
+            .population(PopulationConfig::default())
+            .build()
+            .expect("population-mode backups are valid");
     }
 
     #[test]

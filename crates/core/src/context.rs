@@ -289,28 +289,23 @@ impl TrainContext {
     }
 
     /// Prepares the round's fault-recovery plan for the scheduled cohort
-    /// `admitted` (in participation order). `available` is the full
-    /// availability draw `admitted` was taken from: clients it holds
-    /// beyond `admitted` (e.g. those a cohort cap excluded) are the
-    /// dense-mode standby candidates. In population mode standbys are
-    /// extra members drawn from the population's `"backups"` stream
-    /// instead. A no-op [`crate::recovery::RecoverySpec`] returns the
-    /// identity plan without touching any fault stream.
+    /// `admitted` (in participation order). Standbys are extra members
+    /// drawn from the population's `"backups"` stream; config validation
+    /// admits backups only in population mode. `available` is unused: it
+    /// stays in the signature for existing callers. A no-op
+    /// [`crate::recovery::RecoverySpec`] returns the identity plan
+    /// without touching any fault stream.
     pub fn round_recovery(
         &self,
         round: u64,
         admitted: &[usize],
         available: &[usize],
     ) -> RoundRecovery {
+        let _ = available;
         let spec = &self.config.recovery;
         if spec.is_noop() {
             return RoundRecovery::default();
         }
-        let spares: Vec<usize> = available
-            .iter()
-            .copied()
-            .filter(|c| !admitted.contains(c))
-            .collect();
         let population_backups = match &self.population {
             Some(p) => p.sample_backups(round, spec.backups),
             None => Vec::new(),
@@ -319,7 +314,6 @@ impl TrainContext {
             &self.config,
             self.env.as_ref(),
             admitted,
-            &spares,
             &population_backups,
             |c| self.steps_for(c),
             round,

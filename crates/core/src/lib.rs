@@ -9,12 +9,13 @@
 //! * [`scheme::Federated`] — FedAvg over full models (FL),
 //! * [`scheme::VanillaSplit`] — sequential split learning with client-model
 //!   relay through the AP (SL),
-//! * [`scheme::SplitFed`] — the "simple combination" with one server-side
-//!   model per client (SFL), included to demonstrate the storage blow-up
-//!   GSFL's grouping avoids,
 //! * [`scheme::Gsfl`] — the paper's scheme: M groups, per-group server-side
 //!   model replicas, sequential split training inside each group, parallel
-//!   training across groups, FedAvg of both model halves per round.
+//!   training across groups, FedAvg of both model halves per round,
+//! * SplitFed ([`scheme::SchemeKind::SplitFed`]) — the "simple
+//!   combination" with one server-side model per client (SFL), computed
+//!   as [`scheme::Gsfl`] over singleton groups and included to
+//!   demonstrate the storage blow-up GSFL's grouping avoids.
 //!
 //! Latency is charged through the pluggable
 //! [`gsfl_wireless::environment::ChannelModel`] trait — the composed

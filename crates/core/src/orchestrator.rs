@@ -59,9 +59,10 @@ pub struct RoundPlan {
     /// The round's global cut layer (must be a candidate).
     pub cut: usize,
     /// Optional per-client cuts, indexed by client id (length = client
-    /// count, every entry a candidate). Only schemes whose server side
-    /// is per-client — SplitFed — can honor heterogeneous cuts; the
-    /// others train at [`RoundPlan::cut`].
+    /// count, every entry a candidate). Only SplitFed — GSFL over
+    /// singleton groups, where each server-side replica serves one
+    /// client — reads them; every other scheme trains at
+    /// [`RoundPlan::cut`].
     pub client_cuts: Option<Vec<usize>>,
     /// Optional bandwidth shares, indexed by client id: each entry is
     /// the fraction of the round's total band that client transmits on

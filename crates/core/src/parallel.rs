@@ -1,8 +1,9 @@
 //! Deterministic fan-out of independent per-item work onto host threads.
 //!
 //! All in-round parallelism in the training engine — clients in
-//! [`crate::scheme::Federated`]/[`crate::scheme::SplitFed`], groups in
-//! GSFL, whole schemes in [`crate::runner::Runner::run_many`] — goes
+//! [`crate::scheme::Federated`], groups in [`crate::scheme::Gsfl`]
+//! (SplitFed's singleton groups included), whole schemes in
+//! [`crate::runner::Runner::run_many`] — goes
 //! through [`run_indexed`]: items are split into contiguous chunks, each
 //! chunk runs sequentially on one thread, and results come back ordered
 //! by item index. Because every item's computation is independent and

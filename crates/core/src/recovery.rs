@@ -10,11 +10,11 @@
 //!   update before the server aggregates (`min_quorum_frac`). A quorum
 //!   miss skips the round: it is recorded, charged its wall-clock time,
 //!   and the global model is left unchanged.
-//! * [`RecoverySpec::backups`] over-provisions the cohort: up to that
-//!   many standby clients are assigned to primaries, and a backup
-//!   activates only when its primary crashes before completing its
-//!   upload — the backup re-runs the slot's work on its own channel and
-//!   the slot's update still arrives.
+//! * [`RecoverySpec::backups`] over-provisions a population-mode cohort:
+//!   up to that many standby members are sampled outside it, and a
+//!   backup activates only when a primary crashes before completing its
+//!   upload — the backup takes over the slot, re-runs its work on its
+//!   own data, and the slot's update still arrives.
 //! * [`RoundFate`] is the per-round verdict the latency calculators
 //!   return alongside the priced [`crate::latency::RoundLatency`]: who
 //!   was scheduled, who delivered, who crashed, who missed the deadline.
@@ -92,9 +92,9 @@ pub struct RecoverySpec {
     pub deadline: Option<DeadlinePolicy>,
     /// How many standby clients are provisioned per round. A backup
     /// activates only when a primary crashes before completing its
-    /// upload; in population mode backups are extra members sampled from
-    /// the population, in dense mode they are available clients the
-    /// cohort cap left out.
+    /// upload. Standbys are extra members sampled from the population
+    /// outside the round's cohort, so backups need population mode
+    /// (config validation rejects them without one).
     #[serde(default)]
     pub backups: usize,
 }
@@ -226,9 +226,8 @@ pub fn quorum_weights(survivor_samples: &[usize]) -> Vec<f64> {
 pub struct RoundRecovery {
     /// What the latency calculators price.
     pub plan: RecoveryPlan,
-    /// Population-mode backup members occupying a slot this round
-    /// (slot → replacement member id). Dense-mode backups train their
-    /// own shard and need no override.
+    /// Backup members occupying a slot this round (slot → replacement
+    /// member id).
     pub member_overrides: BTreeMap<usize, u64>,
     min_quorum_frac: Option<f64>,
 }
@@ -237,15 +236,14 @@ impl RoundRecovery {
     /// Prepares the round's recovery plan: detects crashed primaries
     /// from the environment's seeded crash stream and assigns up to
     /// `spec.backups` standbys to them. `admitted` is the round's
-    /// scheduled cohort (participation order); `spare_clients` are dense
-    /// clients available this round but left out of the cohort (backup
-    /// candidates); `population_backups` are extra member ids sampled
-    /// from the population (used instead of spares in population mode).
+    /// scheduled cohort (participation order); `population_backups` are
+    /// extra member ids sampled from the population, each of which
+    /// physically replaces a crashed primary in its slot (same channel
+    /// position, different data).
     pub fn prepare(
         config: &ExperimentConfig,
         env: &dyn ChannelModel,
         admitted: &[usize],
-        spare_clients: &[usize],
         population_backups: &[u64],
         steps_of: impl Fn(usize) -> usize,
         round: u64,
@@ -257,44 +255,17 @@ impl RoundRecovery {
         };
         let mut member_overrides = BTreeMap::new();
         if spec.backups > 0 {
-            let crashed: Vec<usize> = admitted
+            let crashed = admitted
                 .iter()
                 .copied()
-                .filter(|&c| env.crash_point(c, round).is_some())
-                .collect();
-            if !crashed.is_empty() {
-                if population_backups.is_empty() {
-                    // Dense mode: standbys are available clients the
-                    // cohort cap excluded; skip ones that would
-                    // themselves crash.
-                    let mut spares = spare_clients
-                        .iter()
-                        .copied()
-                        .filter(|&b| env.crash_point(b, round).is_none());
-                    for &slot in crashed.iter().take(spec.backups) {
-                        if let Some(b) = spares.next() {
-                            plan.backups.push(BackupAssignment {
-                                slot,
-                                client: b,
-                                steps: steps_of(b),
-                            });
-                        }
-                    }
-                } else {
-                    // Population mode: a fresh member physically replaces
-                    // the primary in its slot (same channel position,
-                    // different data).
-                    for (&slot, &member) in
-                        crashed.iter().zip(population_backups).take(spec.backups)
-                    {
-                        plan.backups.push(BackupAssignment {
-                            slot,
-                            client: slot,
-                            steps: steps_of(slot),
-                        });
-                        member_overrides.insert(slot, member);
-                    }
-                }
+                .filter(|&c| env.crash_point(c, round).is_some());
+            for (slot, &member) in crashed.zip(population_backups).take(spec.backups) {
+                plan.backups.push(BackupAssignment {
+                    slot,
+                    client: slot,
+                    steps: steps_of(slot),
+                });
+                member_overrides.insert(slot, member);
             }
         }
         RoundRecovery {

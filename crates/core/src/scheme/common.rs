@@ -1,8 +1,13 @@
 //! Shared training-loop machinery.
 
+use super::RoundOutcome;
+use crate::aggregate::aggregate_tree;
+use crate::compression::CompressionSpec;
 use crate::config::ExperimentConfig;
 use crate::context::TrainContext;
 use crate::latency::RoundLatency;
+use crate::orchestrator::{PlanSelector, RoundPlan};
+use crate::population::CowParams;
 use crate::recovery::RoundRecovery;
 use crate::results::{RoundRecord, RunResult};
 use crate::Result;
@@ -48,13 +53,6 @@ pub(crate) fn make_batcher(cfg: &ExperimentConfig, client: usize) -> Result<Batc
             .index(client as u64)
             .seed(),
     )?)
-}
-
-/// The cut-boundary codec hook for one round's compression spec (smashed
-/// uplink + gradient downlink) — the configured spec on the static path,
-/// or whatever the orchestrator's plan picked this round.
-pub(crate) fn make_cut_channel_for(comp: &crate::compression::CompressionSpec) -> CutChannel {
-    CutChannel::new(&comp.smashed, &comp.gradient, comp.error_feedback)
 }
 
 /// A [`CutChannel`] bound to one client's deterministic codec streams:
@@ -105,12 +103,10 @@ impl ModelCodec {
     }
 
     /// Encodes a flat parameter snapshot through the wire container and
-    /// decodes it back in place (delta vs `reference`) — for callers
-    /// that already hold the [`ParamVec`] and don't need it written
-    /// back into a network. With `residual` supplied, the EF21
-    /// error-feedback accumulator rides along (see
+    /// decodes it back in place (delta vs `reference`). With `residual`
+    /// supplied, the EF21 error-feedback accumulator rides along (see
     /// [`gsfl_nn::codec::encode_delta`]).
-    pub(crate) fn apply_vec(
+    pub(crate) fn apply(
         &mut self,
         params: &mut ParamVec,
         reference: &ParamVec,
@@ -130,25 +126,6 @@ impl ModelCodec {
             stream,
             &mut self.ws,
         )?;
-        Ok(())
-    }
-
-    /// Encodes `net`'s parameters through the wire container and back
-    /// in place (delta vs `reference`).
-    pub(crate) fn apply(
-        &mut self,
-        net: &mut Sequential,
-        reference: &ParamVec,
-        residual: Option<&mut Vec<f32>>,
-        round: u64,
-        client: usize,
-    ) -> Result<()> {
-        if !self.active() {
-            return Ok(());
-        }
-        let mut params = ParamVec::from_network(net);
-        self.apply_vec(&mut params, reference, residual, round, client)?;
-        params.load_into(net)?;
         Ok(())
     }
 }
@@ -195,6 +172,185 @@ pub(crate) fn feedback_key(members: Option<&[u64]>, recovery: &RoundRecovery, sl
             .copied()
             .unwrap_or(m[slot]),
         None => recovery.trainee_for(slot) as u64,
+    }
+}
+
+/// The outcome of a round that missed its quorum: charged and recorded,
+/// fed back to the planner, and nothing trains or aggregates — the
+/// model state is left as it was.
+pub(crate) fn quorum_missed(
+    plans: &PlanSelector,
+    round: u64,
+    plan: &RoundPlan,
+    mut latency: RoundLatency,
+) -> RoundOutcome {
+    latency.faults.quorum_met = false;
+    plans.observe_outcome(round, plan, &latency);
+    RoundOutcome {
+        latency,
+        train_loss: 0.0,
+        aggregated: false,
+    }
+}
+
+/// What one replica's training contributes to the round: loss and step
+/// totals, the samples it trained on (its FedAvg weight), and updated
+/// EF21 residuals as `(feedback key, residual)` in training order — the
+/// caller writes those back serially, so parallel rounds stay
+/// byte-identical to sequential ones.
+#[derive(Debug, Default)]
+pub(crate) struct Pass {
+    pub(crate) loss_sum: f64,
+    pub(crate) steps: usize,
+    pub(crate) samples: usize,
+    pub(crate) residuals: Vec<(u64, Vec<f32>)>,
+}
+
+/// One sequential split-learning chain — SL's whole round, or one GSFL
+/// group: each member, in order, trains one epoch of
+/// [`split_train_epoch`] on `split`, then its client half crosses the
+/// wire (the relay hop to the next member, or the final upload) through
+/// the round's client-model codec, as a delta against the state the hop
+/// started from. `members` are `(trainee, feedback key)` pairs; codec
+/// streams depend only on (seed, round, trainee), so chains on parallel
+/// threads stay byte-identical. Returns the chain's [`Pass`] and the
+/// client half as its last hop delivered it (also left in `split`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn train_chain(
+    ctx: &TrainContext,
+    split: &mut SplitNetwork,
+    client_opt: &mut Sgd,
+    server_opt: &mut Sgd,
+    members: &[(usize, u64)],
+    shards: &[ImageDataset],
+    codec: &CompressionSpec,
+    feedback: &FeedbackStore,
+    round: u64,
+) -> Result<(Pass, ParamVec)> {
+    let cfg = &ctx.config;
+    let mut channel = CutChannel::new(&codec.smashed, &codec.gradient, codec.error_feedback);
+    let mut model_codec = ModelCodec::new(&codec.client_model, cfg.seed);
+    // The client half as the current hop started: the reference its
+    // relay or upload is encoded against (identity codecs skip it).
+    let mut hop_start = model_codec
+        .active()
+        .then(|| ParamVec::from_network(&split.client));
+    let mut pass = Pass::default();
+    for &(c, key) in members {
+        let batcher = make_batcher(cfg, c)?;
+        let (l, s) = split_train_epoch(
+            split,
+            client_opt,
+            server_opt,
+            &shards[c],
+            &batcher,
+            round,
+            CutLink::new(cfg, &mut channel, c),
+        )?;
+        if let Some(reference) = hop_start.take() {
+            let mut params = ParamVec::from_network(&split.client);
+            let mut residual = feedback.fetch(codec.error_feedback, key);
+            model_codec.apply(&mut params, &reference, residual.as_mut(), round, c)?;
+            params.load_into(&mut split.client)?;
+            pass.residuals.extend(residual.map(|r| (key, r)));
+            hop_start = Some(params);
+        }
+        pass.loss_sum += l;
+        pass.steps += s;
+        pass.samples += shards[c].len();
+    }
+    let delivered = hop_start.unwrap_or_else(|| ParamVec::from_network(&split.client));
+    Ok((pass, delivered))
+}
+
+/// A replica's upload to the AP: its full-model parameters as the AP
+/// decoded them, the client that sent them (whose AP receives them), and
+/// its training [`Pass`].
+pub(crate) struct Upload {
+    pub(crate) params: ParamVec,
+    pub(crate) client: usize,
+    pub(crate) pass: Pass,
+}
+
+/// Run state of the schemes whose replicas start each round from one
+/// global model and FedAvg back into it: FedAvg itself and GSFL (SplitFed
+/// is GSFL over singleton groups).
+#[derive(Debug)]
+pub(crate) struct FedAvgState {
+    /// Architecture template; each replica loads `global` into a clone.
+    template: Sequential,
+    /// Current global full-model parameters, shared copy-on-write across
+    /// the round's replicas.
+    pub(crate) global: CowParams,
+    /// This run's private plan-selection state (fresh per init, so
+    /// learned state never leaks across sessions).
+    pub(crate) plans: PlanSelector,
+    pub(crate) steps: Vec<usize>,
+    /// Recycled aggregation scratch — dead snapshots and the `f64`
+    /// accumulator cycle through this pool.
+    ws: Workspace,
+    /// Per-client EF21 model-codec residuals, carried across rounds.
+    pub(crate) feedback: FeedbackStore,
+}
+
+impl FedAvgState {
+    pub(crate) fn new(ctx: &TrainContext) -> Result<Self> {
+        let cfg = &ctx.config;
+        let template = cfg
+            .model
+            .build(&ctx.sample_dims, cfg.dataset.classes, cfg.seed)?;
+        Ok(FedAvgState {
+            global: CowParams::new(ParamVec::from_network(&template)),
+            template,
+            plans: PlanSelector::from_config(cfg),
+            steps: ctx.steps_per_client(),
+            ws: Workspace::new(),
+            feedback: FeedbackStore::default(),
+        })
+    }
+
+    /// A fresh full-model replica holding the round-start global.
+    pub(crate) fn replica(&self) -> Result<Sequential> {
+        let mut net = self.template.clone();
+        self.global.load_into(&mut net)?;
+        Ok(net)
+    }
+
+    /// The aggregation tail: writes the uploads' EF residuals back in
+    /// upload order, then merges their full-model parameters into the
+    /// next global by two-tier FedAvg over the AP topology, weighted by
+    /// trained samples (bit-identical to flat FedAvg — see
+    /// [`crate::aggregate`]). FedAvg is element-wise, so merging joined
+    /// split halves is bit-identical to merging each half on its own.
+    /// Returns the round's mean training loss.
+    pub(crate) fn aggregate(
+        &mut self,
+        ctx: &TrainContext,
+        uploads: Vec<Upload>,
+        round: u64,
+    ) -> Result<f64> {
+        let mut snapshots = Vec::with_capacity(uploads.len());
+        let mut weights = Vec::with_capacity(uploads.len());
+        let mut aps = Vec::with_capacity(uploads.len());
+        let mut loss_sum = 0.0f64;
+        let mut step_sum = 0usize;
+        for upload in uploads {
+            aps.push(ctx.env.ap_of(upload.client, round)?);
+            weights.push(upload.pass.samples as f64);
+            loss_sum += upload.pass.loss_sum;
+            step_sum += upload.pass.steps;
+            for (key, residual) in upload.pass.residuals {
+                self.feedback.store(key, residual);
+            }
+            snapshots.push(upload.params);
+        }
+        let tree = aggregate_tree(&snapshots, &weights, &aps, &mut self.ws)?;
+        self.global.replace(tree.params);
+        // Dead snapshots feed the next round's aggregation scratch.
+        for snap in snapshots {
+            self.ws.give(snap.into_values());
+        }
+        Ok(loss_sum / step_sum.max(1) as f64)
     }
 }
 

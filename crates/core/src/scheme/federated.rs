@@ -1,25 +1,21 @@
 //! Federated learning (FL): the FedAvg baseline.
 
 use super::common::{
-    feedback_key, full_train_epoch, make_batcher, make_opt, require_state, require_state_mut,
-    FeedbackStore, ModelCodec,
+    feedback_key, full_train_epoch, make_batcher, make_opt, quorum_missed, require_state,
+    require_state_mut, FedAvgState, ModelCodec, Pass, Upload,
 };
 use super::{RoundOutcome, Scheme, SchemeKind};
-use crate::aggregate::aggregate_tree;
 use crate::context::TrainContext;
 use crate::latency::fl_round_recovered;
-use crate::orchestrator::PlanSelector;
 use crate::parallel::{round_fanout, run_indexed};
-use crate::population::CowParams;
 use crate::Result;
 use gsfl_nn::params::ParamVec;
-use gsfl_nn::Sequential;
-use gsfl_tensor::workspace::Workspace;
 
 /// Federated learning: each round every client downloads the global
 /// model, trains `local_epochs` on its shard, uploads; the AP
 /// FedAvg-aggregates weighted by shard size. Round latency is
-/// straggler-bound with equal bandwidth shares.
+/// straggler-bound with equal bandwidth shares. FL has no cut — plans
+/// vary the upload codec, the bandwidth shares and the cohort.
 ///
 /// Clients are independent inside a round, so they really train on
 /// parallel host threads (budgeted by
@@ -28,27 +24,7 @@ use gsfl_tensor::workspace::Workspace;
 /// byte-identical to a sequential run.
 #[derive(Debug, Default)]
 pub struct Federated {
-    state: Option<State>,
-}
-
-#[derive(Debug)]
-struct State {
-    template: Sequential,
-    /// Round-start global parameters, shared copy-on-write: worker
-    /// threads hold `Arc` references, never per-client clones.
-    global: CowParams,
-    steps: Vec<usize>,
-    /// Recycled aggregation scratch (the `f64` accumulator and dead
-    /// snapshot buffers), so steady-state rounds aggregate without
-    /// fresh allocations.
-    ws: Workspace,
-    /// This run's private plan-selection state. FL has no cut — plans
-    /// vary the upload codec, the bandwidth shares and the cohort.
-    plans: PlanSelector,
-    /// Per-client EF21 residuals for the full-model upload codec,
-    /// carried across rounds (keyed by population member id so sparse
-    /// cohorts keep their feedback through rotations).
-    feedback: FeedbackStore,
+    state: Option<FedAvgState>,
 }
 
 impl Federated {
@@ -64,19 +40,7 @@ impl Scheme for Federated {
     }
 
     fn init(&mut self, ctx: &TrainContext) -> Result<()> {
-        let cfg = &ctx.config;
-        let template = cfg
-            .model
-            .build(&ctx.sample_dims, cfg.dataset.classes, cfg.seed)?;
-        let global = CowParams::new(ParamVec::from_network(&template));
-        self.state = Some(State {
-            template,
-            global,
-            steps: ctx.steps_per_client(),
-            ws: Workspace::new(),
-            plans: PlanSelector::from_config(cfg),
-            feedback: FeedbackStore::default(),
-        });
+        self.state = Some(FedAvgState::new(ctx)?);
         Ok(())
     }
 
@@ -105,7 +69,7 @@ impl Scheme for Federated {
                 }
             })
             .collect();
-        let (mut latency, fate) = fl_round_recovered(
+        let (latency, fate) = fl_round_recovered(
             ctx.env.as_ref(),
             &costs,
             &round_steps,
@@ -115,16 +79,8 @@ impl Scheme for Federated {
             &recovery.plan,
         )?;
         if !recovery.quorum_met(&fate) {
-            // Quorum miss: the round is charged and recorded, but no
-            // training result aggregates — the global model is left
-            // unchanged.
-            latency.faults.quorum_met = false;
-            state.plans.observe_outcome(round as u64, &plan, &latency);
-            return Ok(RoundOutcome {
-                latency,
-                train_loss: 0.0,
-                aggregated: false,
-            });
+            // Quorum miss: the global model is left unchanged.
+            return Ok(quorum_missed(&state.plans, round as u64, &plan, latency));
         }
         // Dense mode borrows the static shards; population mode
         // materializes this round's sampled cohort (with any backup
@@ -140,30 +96,22 @@ impl Scheme for Federated {
         let survivors = &fate.survivors;
         let recovery = &recovery;
         let (threads, _grant) = round_fanout(cfg, survivors.len());
-        let template = &state.template;
-        // One shared round-start state: workers clone an `Arc` handle,
-        // not the parameters.
-        let global = state.global.clone();
-        let global = &global;
-        // EF residuals are fetched by clone before the parallel section
-        // (worker closures are `Fn`) and written back serially after it,
-        // in survivor order — byte-identical to a sequential run.
+        // Workers fetch EF residuals by clone (worker closures are `Fn`);
+        // the aggregation tail writes them back serially, in survivor
+        // order — byte-identical to a sequential run.
         let ef = plan.codec.error_feedback;
         let members = ctx.cohort_members(round as u64);
-        let keys: Vec<u64> = survivors
-            .iter()
-            .map(|&slot| feedback_key(members.as_deref(), recovery, slot))
-            .collect();
-        let feedback = &state.feedback;
-        let keys = &keys;
-        let passes = run_indexed(survivors.len(), threads, |idx| {
-            let c = recovery.trainee_for(survivors[idx]);
-            let mut local = template.clone();
-            global.load_into(&mut local)?;
+        let fed = &*state;
+        let uploads = run_indexed(survivors.len(), threads, |idx| {
+            let slot = survivors[idx];
+            let c = recovery.trainee_for(slot);
+            let mut local = fed.replica()?;
             let mut opt = make_opt(cfg);
             let batcher = make_batcher(cfg, c)?;
-            let mut loss_sum = 0.0f64;
-            let mut step_sum = 0usize;
+            let mut pass = Pass {
+                samples: shards[c].len(),
+                ..Pass::default()
+            };
             for e in 0..cfg.local_epochs {
                 let (l, s) = full_train_epoch(
                     &mut local,
@@ -172,65 +120,35 @@ impl Scheme for Federated {
                     &batcher,
                     round as u64 * cfg.local_epochs as u64 + e as u64,
                 )?;
-                loss_sum += l;
-                step_sum += s;
+                pass.loss_sum += l;
+                pass.steps += s;
             }
             // The full-model upload is encoded as a delta against the
             // round-start global both endpoints hold; the AP aggregates
             // what it decoded.
-            let mut snapshot = ParamVec::from_network(&local);
+            let mut params = ParamVec::from_network(&local);
             let mut model_codec = ModelCodec::new(&plan.codec.full_model, cfg.seed);
-            let mut residual = feedback.fetch(ef, keys[idx]);
-            model_codec.apply_vec(
-                &mut snapshot,
-                global.get(),
+            let key = feedback_key(members.as_deref(), recovery, slot);
+            let mut residual = fed.feedback.fetch(ef, key);
+            model_codec.apply(
+                &mut params,
+                fed.global.get(),
                 residual.as_mut(),
                 round as u64,
                 c,
             )?;
-            Ok((
-                snapshot,
-                shards[c].len() as f64,
-                loss_sum,
-                step_sum,
-                residual,
-            ))
+            pass.residuals.extend(residual.map(|r| (key, r)));
+            Ok(Upload {
+                params,
+                client: c,
+                pass,
+            })
         })?;
-        let mut snapshots = Vec::with_capacity(passes.len());
-        let mut weights = Vec::with_capacity(passes.len());
-        let mut loss_sum = 0.0f64;
-        let mut step_sum = 0usize;
-        for (idx, (snap, weight, l, s, residual)) in passes.into_iter().enumerate() {
-            snapshots.push(snap);
-            weights.push(weight);
-            loss_sum += l;
-            step_sum += s;
-            if let Some(res) = residual {
-                state.feedback.store(keys[idx], res);
-            }
-        }
-        // Two-tier tree aggregation over the AP topology (bit-identical
-        // to flat FedAvg — see `crate::aggregate`), through the recycled
-        // workspace. Weights are survivor sample counts, so the tree
-        // re-normalizes the FedAvg over who actually delivered.
-        let mut aps = Vec::with_capacity(survivors.len());
-        for &slot in survivors {
-            aps.push(ctx.env.ap_of(recovery.trainee_for(slot), round as u64)?);
-        }
-        let tree = aggregate_tree(&snapshots, &weights, &aps, &mut state.ws)?;
-        let old = std::mem::replace(&mut state.global, CowParams::new(tree.params));
-        // Dead buffers feed the next round's aggregation scratch.
-        if let Some(dead) = old.into_inner() {
-            state.ws.give(dead.into_values());
-        }
-        for snap in snapshots {
-            state.ws.give(snap.into_values());
-        }
-
+        let train_loss = state.aggregate(ctx, uploads, round as u64)?;
         state.plans.observe_outcome(round as u64, &plan, &latency);
         Ok(RoundOutcome {
             latency,
-            train_loss: loss_sum / step_sum.max(1) as f64,
+            train_loss,
             aggregated: true,
         })
     }

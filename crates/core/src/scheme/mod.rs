@@ -11,13 +11,11 @@ mod common;
 mod federated;
 mod gsfl;
 mod split;
-mod splitfed;
 
 pub use centralized::Centralized;
 pub use federated::Federated;
 pub use gsfl::Gsfl;
 pub use split::VanillaSplit;
-pub use splitfed::SplitFed;
 
 pub(crate) use common::{eval_params, should_eval, Recorder};
 
@@ -109,7 +107,8 @@ pub enum SchemeKind {
     /// client-side and one server-side model, relay through the AP.
     VanillaSplit,
     /// SplitFed v1: all clients parallel, one server-side model per
-    /// client, FedAvg of both halves.
+    /// client, FedAvg of both halves — GSFL over singleton groups (see
+    /// [`Gsfl`]).
     SplitFed,
     /// Group-based split federated learning — the paper's contribution.
     Gsfl,
@@ -150,7 +149,7 @@ impl SchemeKind {
             SchemeKind::Centralized => Box::new(Centralized::new()),
             SchemeKind::Federated => Box::new(Federated::new()),
             SchemeKind::VanillaSplit => Box::new(VanillaSplit::new()),
-            SchemeKind::SplitFed => Box::new(SplitFed::new()),
+            SchemeKind::SplitFed => Box::new(Gsfl::splitfed()),
             SchemeKind::Gsfl => Box::new(Gsfl::new()),
         }
     }

@@ -1,8 +1,8 @@
 //! Vanilla split learning (SL): the sequential baseline.
 
 use super::common::{
-    feedback_key, join_params, make_batcher, make_cut_channel_for, make_opt, require_state,
-    require_state_mut, split_train_epoch, CutLink, FeedbackStore, ModelCodec,
+    feedback_key, join_params, make_opt, quorum_missed, require_state, require_state_mut,
+    train_chain, FeedbackStore,
 };
 use super::{RoundOutcome, Scheme, SchemeKind};
 use crate::context::TrainContext;
@@ -118,7 +118,7 @@ impl Scheme for VanillaSplit {
         // the chain trains exactly the surviving slots — a backup
         // standby re-runs a crashed slot's segment.
         let recovery = ctx.round_recovery(round as u64, &order, &available);
-        let (mut latency, fate) = sl_round_recovered(
+        let (latency, fate) = sl_round_recovered(
             ctx.env.as_ref(),
             &costs,
             &state.steps,
@@ -129,72 +129,50 @@ impl Scheme for VanillaSplit {
             &recovery.plan,
         )?;
         if !recovery.quorum_met(&fate) {
-            // Quorum miss: the round is charged and recorded, but no
-            // client's steps persist — the chain restarts next round
-            // from the model state it holds now.
-            latency.faults.quorum_met = false;
-            state.plans.observe_outcome(round as u64, &plan, &latency);
-            return Ok(RoundOutcome {
-                latency,
-                train_loss: 0.0,
-                aggregated: false,
-            });
+            // Quorum miss: no client's steps persist — the chain
+            // restarts next round from the model state it holds now.
+            return Ok(quorum_missed(&state.plans, round as u64, &plan, latency));
         }
         // Dense mode borrows the static shards; population mode
         // materializes this round's sampled cohort (with any backup
         // members substituted into their slots).
         let shards = ctx.round_shards_recovered(round as u64, &recovery)?;
 
-        let mut loss_sum = 0.0f64;
-        let mut step_sum = 0usize;
-        let mut channel = make_cut_channel_for(&plan.codec);
-        // The client-side model codec bites on every AP relay hop: after
-        // each client's segment the client half travels client → AP →
-        // next client as a delta against the state the hop started from.
-        let mut model_codec = ModelCodec::new(&plan.codec.client_model, cfg.seed);
-        let ef = plan.codec.error_feedback;
+        // The surviving slots in chain order, as (trainee, EF residual
+        // key) pairs.
         let members = ctx.cohort_members(round as u64);
-        let feedback = &mut state.feedback;
-        match &mut state.mode {
+        let chain: Vec<(usize, u64)> = fate
+            .survivors
+            .iter()
+            .map(|&slot| {
+                let key = feedback_key(members.as_deref(), &recovery, slot);
+                (recovery.trainee_for(slot), key)
+            })
+            .collect();
+        let feedback = &state.feedback;
+        let train = |split: &mut SplitNetwork, client_opt: &mut Sgd, server_opt: &mut Sgd| {
+            train_chain(
+                ctx,
+                split,
+                client_opt,
+                server_opt,
+                &chain,
+                &shards,
+                &plan.codec,
+                feedback,
+                round as u64,
+            )
+        };
+        let pass = match &mut state.mode {
             Mode::Fixed {
                 split,
                 client_opt,
                 server_opt,
             } => {
-                for &slot in &fate.survivors {
-                    let c = recovery.trainee_for(slot);
-                    let relay_ref = model_codec
-                        .active()
-                        .then(|| ParamVec::from_network(&split.client));
-                    let batcher = make_batcher(cfg, c)?;
-                    let (l, s) = split_train_epoch(
-                        split,
-                        client_opt,
-                        server_opt,
-                        &shards[c],
-                        &batcher,
-                        round as u64,
-                        CutLink::new(cfg, &mut channel, c),
-                    )?;
-                    if let Some(reference) = relay_ref {
-                        let key = feedback_key(members.as_deref(), &recovery, slot);
-                        let mut residual = feedback.fetch(ef, key);
-                        model_codec.apply(
-                            &mut split.client,
-                            &reference,
-                            residual.as_mut(),
-                            round as u64,
-                            c,
-                        )?;
-                        if let Some(res) = residual {
-                            feedback.store(key, res);
-                        }
-                    }
-                    loss_sum += l;
-                    step_sum += s;
-                }
+                let (pass, _) = train(split, client_opt, server_opt)?;
                 client_opt.advance_round();
                 server_opt.advance_round();
+                pass
             }
             Mode::Adaptive { template, global } => {
                 let mut whole = template.clone();
@@ -202,51 +180,20 @@ impl Scheme for VanillaSplit {
                 let mut split = SplitNetwork::split(whole, plan.cut)?;
                 // Momentum is 0 by validation, so fresh per-round
                 // optimizers are exactly the persistent ones.
-                let mut client_opt = make_opt(cfg);
-                let mut server_opt = make_opt(cfg);
-                for &slot in &fate.survivors {
-                    let c = recovery.trainee_for(slot);
-                    let relay_ref = model_codec
-                        .active()
-                        .then(|| ParamVec::from_network(&split.client));
-                    let batcher = make_batcher(cfg, c)?;
-                    let (l, s) = split_train_epoch(
-                        &mut split,
-                        &mut client_opt,
-                        &mut server_opt,
-                        &shards[c],
-                        &batcher,
-                        round as u64,
-                        CutLink::new(cfg, &mut channel, c),
-                    )?;
-                    if let Some(reference) = relay_ref {
-                        let key = feedback_key(members.as_deref(), &recovery, slot);
-                        let mut residual = feedback.fetch(ef, key);
-                        model_codec.apply(
-                            &mut split.client,
-                            &reference,
-                            residual.as_mut(),
-                            round as u64,
-                            c,
-                        )?;
-                        if let Some(res) = residual {
-                            feedback.store(key, res);
-                        }
-                    }
-                    loss_sum += l;
-                    step_sum += s;
-                }
-                *global = join_params(
-                    &ParamVec::from_network(&split.client),
-                    &ParamVec::from_network(&split.server),
-                );
+                let (pass, client_half) =
+                    train(&mut split, &mut make_opt(cfg), &mut make_opt(cfg))?;
+                *global = join_params(&client_half, &ParamVec::from_network(&split.server));
+                pass
             }
+        };
+        for (key, residual) in pass.residuals {
+            state.feedback.store(key, residual);
         }
 
         state.plans.observe_outcome(round as u64, &plan, &latency);
         Ok(RoundOutcome {
             latency,
-            train_loss: loss_sum / step_sum.max(1) as f64,
+            train_loss: pass.loss_sum / pass.steps.max(1) as f64,
             aggregated: false,
         })
     }

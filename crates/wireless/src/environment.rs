@@ -166,20 +166,6 @@ pub trait ChannelModel: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// Whether AP `ap` is online in `round` (outage-window injection).
-    /// Defaults to always online.
-    fn ap_online(&self, ap: usize, round: u64) -> bool {
-        let _ = (ap, round);
-        true
-    }
-
-    /// The co-channel interference parameters of this environment, if
-    /// concurrent transmitters interfere at all. `None` (the default)
-    /// means perfectly orthogonal access — the historical behavior.
-    fn interference(&self) -> Option<InterferenceSpec> {
-        None
-    }
-
     /// Number of access points / edge servers in the environment.
     /// Single-AP environments (the default) report 1.
     fn ap_count(&self) -> usize {
@@ -577,10 +563,6 @@ impl ChannelModel for StaticEnvironment {
     fn server_compute(&self, flops: u64) -> Seconds {
         self.base.server_compute(flops)
     }
-
-    fn interference(&self) -> Option<InterferenceSpec> {
-        self.interference
-    }
 }
 
 /// How the total system bandwidth varies over rounds.
@@ -936,17 +918,6 @@ impl ChannelModel for DynamicEnvironment {
             .as_ref()
             .and_then(|f| f.crash_point(client, round))
     }
-
-    fn ap_online(&self, ap: usize, round: u64) -> bool {
-        match &self.faults {
-            Some(f) => f.ap_online(ap, round),
-            None => true,
-        }
-    }
-
-    fn interference(&self) -> Option<InterferenceSpec> {
-        self.interference
-    }
 }
 
 #[cfg(test)]
@@ -1235,10 +1206,11 @@ mod tests {
             .interference(spec)
             .build()
             .unwrap();
-        assert_eq!(env.interference(), Some(spec));
         let share = Hertz::from_mhz(1.0);
         let payload = Bytes::new(100_000);
+        let alone = time(&env, 0, Direction::Uplink, payload, 1, share, &[]);
         let a = time(&env, 0, Direction::Uplink, payload, 1, share, &[1]);
+        assert!(a > alone, "the spec must reach the link");
         let b = time(&env, 0, Direction::Uplink, payload, 3, share, &[1]);
         assert_ne!(a, b, "mobility must move the interferer too");
         assert!(DynamicEnvironment::builder(base(1))

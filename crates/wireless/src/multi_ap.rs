@@ -504,10 +504,6 @@ impl ChannelModel for MultiApEnvironment {
         self.base.server_compute(flops)
     }
 
-    fn interference(&self) -> Option<InterferenceSpec> {
-        self.interference
-    }
-
     fn ap_count(&self) -> usize {
         self.aps.len()
     }

@@ -699,7 +699,9 @@ fn waypoints(m: MobilitySpec, seed: u64) -> Result<RandomWaypoint> {
 mod tests {
     use super::*;
     use crate::environment::Direction;
+    use crate::fault::FaultInjector;
     use crate::units::{Bytes, Hertz, Seconds};
+    use gsfl_tensor::rng::SeedDerive;
 
     /// Client 0's uplink time for `payload` in `round` at `share`,
     /// against `concurrent`, from a fresh snapshot.
@@ -718,6 +720,15 @@ mod tests {
     }
 
     /// Client 0's time for a GFLOP of local work in round 0.
+    /// Asserts that a concurrent transmitter slows client 0's uplink —
+    /// the environment prices co-channel interference.
+    fn assert_interferes(env: &dyn ChannelModel) {
+        let (payload, share) = (Bytes::new(100_000), Hertz::from_mhz(1.0));
+        let alone = uplink(env, payload, 0, share, &[]);
+        let contended = uplink(env, payload, 0, share, &[1]);
+        assert!(contended > alone, "{contended:?} vs {alone:?}");
+    }
+
     fn gflop_time(env: &dyn ChannelModel) -> Seconds {
         env.client_conditions(0, 0)
             .unwrap()
@@ -961,7 +972,7 @@ mod tests {
             .build(base(), 0)
             .unwrap();
         assert!(crowded.total_bandwidth(0).as_hz() < nominal.total_bandwidth(0).as_hz());
-        assert!(crowded.interference().unwrap().is_active());
+        assert_interferes(crowded.as_ref());
         // Out-of-range fractions fail loudly.
         assert!(Scenario::Narrowband(NarrowbandSpec { frac: 0.0 })
             .build(base(), 0)
@@ -999,7 +1010,7 @@ mod tests {
         let env = Scenario::Orchestrated(OrchestratedSpec::default())
             .build(base(), 3)
             .unwrap();
-        assert!(env.interference().unwrap().is_active());
+        assert_interferes(env.as_ref());
         // The short diurnal cycle bites within a handful of rounds.
         assert!(env.total_bandwidth(2).as_hz() < env.total_bandwidth(0).as_hz());
         // Dropouts are live somewhere in a long horizon.
@@ -1051,9 +1062,21 @@ mod tests {
         let env = Scenario::Chaos(ChaosSpec::default())
             .build(base(), 3)
             .unwrap();
+        // The environment's own fault stream, read directly for the AP
+        // outage windows.
+        let faults = FaultInjector::new(
+            ChaosSpec::default().faults,
+            SeedDerive::new(3).child("environment"),
+        )
+        .unwrap();
         let (mut lost, mut crashed, mut dropped, mut outage) = (false, false, false, false);
         for round in 0..300u64 {
-            outage |= !env.ap_online(0, round);
+            if !faults.ap_online(0, round) {
+                outage = true;
+                for c in 0..3 {
+                    assert!(!env.is_available(c, round), "a dark AP takes its clients");
+                }
+            }
             for c in 0..3 {
                 lost |= env.transfer_outcome(c, round, 0).attempts > 1;
                 crashed |= env.crash_point(c, round).is_some();
@@ -1084,7 +1107,7 @@ mod tests {
         let env = Scenario::AdaptiveCut(AdaptiveCutSpec::default())
             .build(base(), 3)
             .unwrap();
-        assert!(env.interference().unwrap().is_active());
+        assert_interferes(env.as_ref());
         // The diurnal trough bites mid-period.
         assert!(env.total_bandwidth(3).as_hz() < env.total_bandwidth(0).as_hz());
     }

@@ -1,7 +1,8 @@
 //! Chaos sweep: every scheme trained through the `chaos` preset — 10%
 //! transfer loss, 5% mid-compute crashes, 10% dropouts, AP outage
 //! windows and compute stragglers at once — with the recovery layer
-//! armed (round deadline, quorum aggregation, one backup standby).
+//! armed (round deadline, quorum aggregation). Backup standbys need a
+//! sampled population; `ablation_availability` sweeps them.
 //!
 //! The gate: under chaos every scheme must still reach the target
 //! accuracy, within 3× its fault-free time-to-accuracy. Retries price
@@ -51,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             deadline_s: 30.0,
             min_quorum_frac: 0.3,
         }),
-        backups: 1,
+        backups: 0,
     };
     println!(
         "chaos sweep: target {:.0}% accuracy, gate {MAX_SLOWDOWN:.0}x fault-free time-to-accuracy",

@@ -1,9 +1,11 @@
 //! Fault-tolerant rounds, end to end: every scheme survives the `chaos`
-//! preset, fault realizations are thread-count invariant, quorum-missed
+//! preset, fault realizations (standby activations included) are
+//! thread-count invariant, standbys cover crashed primaries, quorum-missed
 //! rounds leave the global model untouched, and a recovery spec that
 //! never fires is the identity.
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
+use gsfl::core::population::PopulationConfig;
 use gsfl::core::recovery::{DeadlinePolicy, RecoverySpec};
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
@@ -32,6 +34,18 @@ fn tiny(scenario: Scenario, recovery: RecoverySpec) -> ExperimentConfig {
         .unwrap()
 }
 
+/// [`tiny`] with its six clients as a cohort sampled from a population,
+/// which is where backup standbys come from.
+fn tiny_population(scenario: Scenario, recovery: RecoverySpec) -> ExperimentConfig {
+    let mut config = tiny(scenario, RecoverySpec::default());
+    config.population = Some(PopulationConfig {
+        clients: 600,
+        samples_per_client: 8,
+    });
+    config.recovery = recovery;
+    config
+}
+
 /// Loss + crashes only, rates chosen per test.
 fn faults_only(loss: f64, crash: f64) -> Scenario {
     Scenario::Chaos(ChaosSpec {
@@ -57,7 +71,7 @@ fn every_scheme_completes_under_chaos() {
             deadline_s: 30.0,
             min_quorum_frac: 0.3,
         }),
-        backups: 1,
+        backups: 0,
     };
     for kind in SchemeKind::all() {
         let config = tiny(Scenario::Chaos(ChaosSpec::default()), recovery);
@@ -71,7 +85,7 @@ fn every_scheme_completes_under_chaos() {
 
 /// Fault draws are pure functions of (seed, client, round, transfer) —
 /// never of host parallelism — so a chaos run must be byte-identical at
-/// any thread count.
+/// any thread count, standby activations included.
 #[test]
 fn chaos_runs_are_thread_count_invariant() {
     let recovery = RecoverySpec {
@@ -81,32 +95,15 @@ fn chaos_runs_are_thread_count_invariant() {
         }),
         backups: 1,
     };
+    let mut activated = 0;
     for kind in [
         SchemeKind::Gsfl,
         SchemeKind::Federated,
         SchemeKind::SplitFed,
     ] {
         let run = |threads: usize| {
-            let config = ExperimentConfig::builder()
-                .clients(6)
-                .groups(2)
-                .rounds(6)
-                .batch_size(4)
-                .eval_every(3)
-                .learning_rate(0.1)
-                .dataset(DatasetConfig {
-                    classes: 3,
-                    samples_per_class: 8,
-                    test_per_class: 4,
-                    image_size: 8,
-                })
-                .model(ModelKind::Mlp { hidden: vec![16] })
-                .scenario(Scenario::Chaos(ChaosSpec::default()))
-                .recovery(recovery)
-                .client_threads(threads)
-                .seed(5)
-                .build()
-                .unwrap();
+            let mut config = tiny_population(Scenario::Chaos(ChaosSpec::default()), recovery);
+            config.client_threads = Some(threads);
             Runner::new(config).unwrap().run(kind).unwrap()
         };
         let a = run(1);
@@ -118,6 +115,46 @@ fn chaos_runs_are_thread_count_invariant() {
                 "{kind}: fault realizations must not depend on threads"
             );
         }
+        activated += a.total_backups_activated();
+    }
+    assert!(activated > 0, "no standby activated: the runs pin nothing");
+}
+
+/// Population-mode standbys cover crashed primaries under the full chaos
+/// preset: every FedAvg-style and split scheme activates some, and each
+/// activation keeps a crashed slot's update, so fewer clients are lost
+/// than with no standbys on the same fault draws.
+#[test]
+fn population_standbys_cover_crashed_primaries_under_chaos() {
+    let with_backups = RecoverySpec {
+        deadline: None,
+        backups: 2,
+    };
+    for kind in [
+        SchemeKind::Federated,
+        SchemeKind::VanillaSplit,
+        SchemeKind::SplitFed,
+        SchemeKind::Gsfl,
+    ] {
+        let chaos = Scenario::Chaos(ChaosSpec::default());
+        let covered = Runner::new(tiny_population(chaos, with_backups))
+            .unwrap()
+            .run(kind)
+            .unwrap();
+        let bare = Runner::new(tiny_population(chaos, RecoverySpec::default()))
+            .unwrap()
+            .run(kind)
+            .unwrap();
+        assert!(
+            covered.total_backups_activated() > 0,
+            "{kind}: chaos crashes someone, so a standby must activate"
+        );
+        assert!(
+            covered.total_lost_clients() < bare.total_lost_clients(),
+            "{kind}: standbys must save crashed slots ({} lost vs {})",
+            covered.total_lost_clients(),
+            bare.total_lost_clients()
+        );
     }
 }
 
@@ -182,11 +219,11 @@ fn generous_recovery_on_clean_channel_is_identity() {
         backups: 2,
     };
     for kind in SchemeKind::all() {
-        let base = Runner::new(tiny(Scenario::Static, RecoverySpec::default()))
+        let base = Runner::new(tiny_population(Scenario::Static, RecoverySpec::default()))
             .unwrap()
             .run(kind)
             .unwrap();
-        let armed = Runner::new(tiny(Scenario::Static, generous))
+        let armed = Runner::new(tiny_population(Scenario::Static, generous))
             .unwrap()
             .run(kind)
             .unwrap();

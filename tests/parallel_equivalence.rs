@@ -4,10 +4,14 @@
 //! fixed client/group boundaries and aggregated in fixed order, so this
 //! holds by construction — and this suite pins it.
 
+use gsfl::core::compression::CompressionSpec;
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
+use gsfl::core::orchestrator::OrchestratorSpec;
 use gsfl::core::results::RoundRecord;
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
+use gsfl::nn::codec::CodecSpec;
+use gsfl::wireless::Scenario;
 
 fn config(threads: Option<usize>) -> ExperimentConfig {
     let mut b = ExperimentConfig::builder()
@@ -30,6 +34,19 @@ fn config(threads: Option<usize>) -> ExperimentConfig {
         b = b.client_threads(n);
     }
     b.build().unwrap()
+}
+
+/// [`config`] on the `orchestrated` preset under the greedy planner with
+/// a lossy codec and error feedback: per-client cuts, the planner's codec
+/// arms and the EF residuals all cross the fan-out.
+fn orchestrated_config(threads: Option<usize>) -> ExperimentConfig {
+    let mut cfg = config(threads);
+    // A moving cut cannot carry optimizer velocity.
+    cfg.momentum = 0.0;
+    cfg.scenario = Scenario::preset("orchestrated").unwrap();
+    cfg.orchestrator = OrchestratorSpec::Greedy;
+    cfg.compression = CompressionSpec::uniform(CodecSpec::IntQ { bits: 4 }).with_error_feedback();
+    cfg
 }
 
 fn assert_records_bitwise_equal(
@@ -63,23 +80,25 @@ fn assert_records_bitwise_equal(
 #[test]
 fn forced_thread_counts_are_byte_identical_to_sequential() {
     // Federated and SplitFed fan clients out; GSFL fans groups out.
-    for kind in [
-        SchemeKind::Federated,
-        SchemeKind::SplitFed,
-        SchemeKind::Gsfl,
+    for (input, make) in [
+        ("static", config as fn(Option<usize>) -> ExperimentConfig),
+        ("orchestrated", orchestrated_config),
     ] {
-        let sequential = Runner::new(config(Some(1))).unwrap().run(kind).unwrap();
-        for threads in [2usize, 4, 8] {
-            let parallel = Runner::new(config(Some(threads)))
-                .unwrap()
-                .run(kind)
-                .unwrap();
-            assert_records_bitwise_equal(
-                kind,
-                &sequential.records,
-                &parallel.records,
-                &format!("{threads} threads"),
-            );
+        for kind in [
+            SchemeKind::Federated,
+            SchemeKind::SplitFed,
+            SchemeKind::Gsfl,
+        ] {
+            let sequential = Runner::new(make(Some(1))).unwrap().run(kind).unwrap();
+            for threads in [2usize, 4, 8] {
+                let parallel = Runner::new(make(Some(threads))).unwrap().run(kind).unwrap();
+                assert_records_bitwise_equal(
+                    kind,
+                    &sequential.records,
+                    &parallel.records,
+                    &format!("{input}, {threads} threads"),
+                );
+            }
         }
     }
 }

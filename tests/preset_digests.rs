@@ -12,16 +12,23 @@
 //! Runs: FedAvg, vanilla SL, SplitFed and GSFL on every preset; the
 //! greedy orchestrator on `orchestrated` and `trace_replay`; the bandit
 //! orchestrator and a greedy cut policy once each; GSFL under a shared
-//! bandwidth pool, which prices group shares; and `chaos` with a round
-//! deadline.
+//! bandwidth pool, which prices group shares; `chaos` with a round
+//! deadline; and, for the three split schemes, a lossy client-model
+//! codec with error feedback on `static`, under the greedy orchestrator
+//! (per-client cuts) on `orchestrated`, and on population-mode `chaos`
+//! with standby clients — the cases that pin relay residuals and
+//! backup trainees bit for bit.
 
+use gsfl::core::compression::CompressionSpec;
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
 use gsfl::core::latency::ChannelMode;
 use gsfl::core::orchestrator::{CutPolicySpec, OrchestratorSpec};
+use gsfl::core::population::PopulationConfig;
 use gsfl::core::recovery::{DeadlinePolicy, RecoverySpec};
 use gsfl::core::results::RoundRecord;
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
+use gsfl::nn::codec::CodecSpec;
 use gsfl::wireless::allocation::BandwidthPolicy;
 use gsfl::wireless::Scenario;
 
@@ -134,6 +141,39 @@ fn cases() -> Vec<(String, ExperimentConfig, SchemeKind)> {
             backups: 0,
         };
         cases.push((format!("chaos {} deadline", kind.name()), cfg, kind));
+    }
+    let lossy = CompressionSpec::uniform(CodecSpec::IntQ { bits: 4 }).with_error_feedback();
+    for kind in [
+        SchemeKind::VanillaSplit,
+        SchemeKind::SplitFed,
+        SchemeKind::Gsfl,
+    ] {
+        let mut cfg = config(preset("static"));
+        cfg.compression = lossy;
+        cases.push((format!("static {} intq4-ef", kind.name()), cfg, kind));
+        let mut cfg = config(preset("orchestrated"));
+        cfg.compression = lossy;
+        cfg.orchestrator = OrchestratorSpec::Greedy;
+        cases.push((
+            format!("orchestrated {} greedy intq4-ef", kind.name()),
+            cfg,
+            kind,
+        ));
+        let mut cfg = config(preset("chaos"));
+        cfg.compression = lossy;
+        cfg.population = Some(PopulationConfig {
+            clients: 1_000,
+            samples_per_client: 8,
+        });
+        cfg.recovery = RecoverySpec {
+            deadline: None,
+            backups: 2,
+        };
+        cases.push((
+            format!("chaos {} population backups intq4-ef", kind.name()),
+            cfg,
+            kind,
+        ));
     }
     cases
 }

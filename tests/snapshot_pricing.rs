@@ -25,7 +25,6 @@ use gsfl::wireless::environment::{
     ChannelModel, ClientConditions, Direction, Link, RoundConditions,
 };
 use gsfl::wireless::fault::TransferOutcome;
-use gsfl::wireless::interference::InterferenceSpec;
 use gsfl::wireless::server::EdgeServer;
 use gsfl::wireless::units::{Hertz, Seconds};
 use gsfl::wireless::{Result, Scenario};
@@ -116,14 +115,6 @@ impl ChannelModel for Counting {
 
     fn crash_point(&self, client: usize, round: u64) -> Option<f64> {
         self.inner.crash_point(client, round)
-    }
-
-    fn ap_online(&self, ap: usize, round: u64) -> bool {
-        self.inner.ap_online(ap, round)
-    }
-
-    fn interference(&self) -> Option<InterferenceSpec> {
-        self.inner.interference()
     }
 
     fn ap_count(&self) -> usize {
