@@ -5,6 +5,9 @@
 //! scheme through the `Scheme` trait (`storage_bytes`), dispatched by
 //! name via the scheme registry.
 //!
+//! The claim is a gate: the binary exits non-zero unless, at every fleet
+//! size, GSFL stores fewer bytes than SFL and SFL/GSFL is exactly N/M.
+//!
 //! Usage: `cargo run -p gsfl-bench --release --bin storage_table`
 
 use gsfl_bench::{paper_config, print_table};
@@ -20,6 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .storage_bytes(ctx)
     };
     let mut rows = Vec::new();
+    let mut misses = Vec::new();
     for n in [10usize, 30, 60, 120] {
         let m = (n / 5).max(1);
         let config = paper_config(false).clients(n).groups(m).rounds(1).build()?;
@@ -27,6 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sl = storage("sl", &ctx);
         let sfl = storage("sfl", &ctx);
         let gsfl = storage("gsfl", &ctx);
+        if gsfl >= sfl || sfl * m as u64 != gsfl * n as u64 {
+            misses.push(format!("N={n}, M={m} (SFL {sfl} B, GSFL {gsfl} B)"));
+        }
         rows.push(vec![
             n.to_string(),
             m.to_string(),
@@ -43,5 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("\nGSFL needs M server-side replicas instead of SFL's N — the");
     println!("storage saving that motivates grouping (paper §I).");
+    if !misses.is_empty() {
+        eprintln!(
+            "storage_table gate failed: GSFL must store less than SFL, \
+             by exactly N/M, at {}",
+            misses.join(", ")
+        );
+        std::process::exit(1);
+    }
     Ok(())
 }

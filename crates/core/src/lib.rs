@@ -7,8 +7,9 @@
 //!
 //! * [`scheme::Centralized`] — all data pooled at the server (CL),
 //! * [`scheme::Federated`] — FedAvg over full models (FL),
-//! * [`scheme::VanillaSplit`] — sequential split learning with client-model
-//!   relay through the AP (SL),
+//! * vanilla SL ([`scheme::SchemeKind::VanillaSplit`]) — sequential
+//!   split learning with client-model relay through the AP, computed as
+//!   [`scheme::Gsfl`] over one chain of the admitted clients,
 //! * [`scheme::Gsfl`] — the paper's scheme: M groups, per-group server-side
 //!   model replicas, sequential split training inside each group, parallel
 //!   training across groups, FedAvg of both model halves per round,

@@ -276,13 +276,14 @@ impl RoundRecovery {
     }
 
     /// Whether the round's survivor set clears the configured quorum.
-    /// Always true without a [`DeadlinePolicy`] — unless *nobody*
-    /// delivered, which no scheme can aggregate.
+    /// Always true without a [`DeadlinePolicy`], and never true when
+    /// *nobody* delivered, which no scheme can aggregate, however small
+    /// the quorum fraction.
     pub fn quorum_met(&self, fate: &RoundFate) -> bool {
-        match self.min_quorum_frac {
-            Some(q) => fate.quorum_met(q),
-            None => fate.planned.is_empty() || !fate.survivors.is_empty(),
+        if fate.planned.is_empty() {
+            return true;
         }
+        !fate.survivors.is_empty() && self.min_quorum_frac.is_none_or(|q| fate.quorum_met(q))
     }
 
     /// The client that trains `slot`'s update this round: the assigned

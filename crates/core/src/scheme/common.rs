@@ -206,12 +206,12 @@ pub(crate) struct Pass {
     pub(crate) residuals: Vec<(u64, Vec<f32>)>,
 }
 
-/// One sequential split-learning chain — SL's whole round, or one GSFL
-/// group: each member, in order, trains one epoch of
-/// [`split_train_epoch`] on `split`, then its client half crosses the
-/// wire (the relay hop to the next member, or the final upload) through
-/// the round's client-model codec, as a delta against the state the hop
-/// started from. `members` are `(trainee, feedback key)` pairs; codec
+/// One sequential split-learning chain — one GSFL group (SL's whole
+/// round, or one SplitFed client): each member, in order, trains one
+/// epoch of [`split_train_epoch`] on `split`, then its client half
+/// crosses the wire (the relay hop to the next member, or the final
+/// upload) through the round's client-model codec, as a delta against
+/// the state the hop started from. `members` are `(trainee, feedback key)` pairs; codec
 /// streams depend only on (seed, round, trainee), so chains on parallel
 /// threads stay byte-identical. Returns the chain's [`Pass`] and the
 /// client half as its last hop delivered it (also left in `split`).
@@ -273,8 +273,9 @@ pub(crate) struct Upload {
 }
 
 /// Run state of the schemes whose replicas start each round from one
-/// global model and FedAvg back into it: FedAvg itself and GSFL (SplitFed
-/// is GSFL over singleton groups).
+/// global model and FedAvg back into it: FedAvg itself and GSFL, whose
+/// one chain (SL) and singleton groups (SplitFed) are the other split
+/// schemes.
 #[derive(Debug)]
 pub(crate) struct FedAvgState {
     /// Architecture template; each replica loads `global` into a clone.
@@ -286,8 +287,7 @@ pub(crate) struct FedAvgState {
     /// learned state never leaks across sessions).
     pub(crate) plans: PlanSelector,
     pub(crate) steps: Vec<usize>,
-    /// Recycled aggregation scratch — dead snapshots and the `f64`
-    /// accumulator cycle through this pool.
+    /// Recycled aggregation scratch: the `f64` accumulator.
     ws: Workspace,
     /// Per-client EF21 model-codec residuals, carried across rounds.
     pub(crate) feedback: FeedbackStore,
@@ -321,7 +321,8 @@ impl FedAvgState {
     /// next global by two-tier FedAvg over the AP topology, weighted by
     /// trained samples (bit-identical to flat FedAvg — see
     /// [`crate::aggregate`]). FedAvg is element-wise, so merging joined
-    /// split halves is bit-identical to merging each half on its own.
+    /// split halves is bit-identical to merging each half on its own,
+    /// and a lone upload (SL's chain) becomes the global exactly.
     /// Returns the round's mean training loss.
     pub(crate) fn aggregate(
         &mut self,
@@ -346,10 +347,6 @@ impl FedAvgState {
         }
         let tree = aggregate_tree(&snapshots, &weights, &aps, &mut self.ws)?;
         self.global.replace(tree.params);
-        // Dead snapshots feed the next round's aggregation scratch.
-        for snap in snapshots {
-            self.ws.give(snap.into_values());
-        }
         Ok(loss_sum / step_sum.max(1) as f64)
     }
 }
@@ -549,6 +546,43 @@ mod tests {
         let a = ParamVec::from_values(vec![1.0, 2.0]);
         let b = ParamVec::from_values(vec![3.0]);
         assert_eq!(join_params(&a, &b).values(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn aggregation_pool_does_not_grow_with_rounds() {
+        use crate::config::{DatasetConfig, ModelKind};
+        let cfg = ExperimentConfig::builder()
+            .clients(4)
+            .groups(2)
+            .dataset(DatasetConfig {
+                classes: 2,
+                samples_per_class: 4,
+                test_per_class: 2,
+                image_size: 8,
+            })
+            .model(ModelKind::Mlp { hidden: vec![4] })
+            .build()
+            .unwrap();
+        let ctx = TrainContext::from_config(cfg).unwrap();
+        let mut state = FedAvgState::new(&ctx).unwrap();
+        for round in 1..=20u64 {
+            let uploads = (0..4)
+                .map(|client| Upload {
+                    params: state.global.get().clone(),
+                    client,
+                    pass: Pass {
+                        samples: 1 + client,
+                        ..Pass::default()
+                    },
+                })
+                .collect();
+            state.aggregate(&ctx, uploads, round).unwrap();
+            assert!(
+                state.ws.pooled() <= 1,
+                "round {round}: {} pooled buffers",
+                state.ws.pooled()
+            );
+        }
     }
 
     #[test]

@@ -10,12 +10,10 @@ mod centralized;
 mod common;
 mod federated;
 mod gsfl;
-mod split;
 
 pub use centralized::Centralized;
 pub use federated::Federated;
 pub use gsfl::Gsfl;
-pub use split::VanillaSplit;
 
 pub(crate) use common::{eval_params, should_eval, Recorder};
 
@@ -36,7 +34,8 @@ pub struct RoundOutcome {
     /// Mean training loss over the round's steps.
     pub train_loss: f64,
     /// Whether the round ended in a server-side model aggregation
-    /// (FedAvg); drives the `Aggregated` session event.
+    /// (FedAvg; SL's one chain is never merged); drives the
+    /// `Aggregated` session event.
     pub aggregated: bool,
 }
 
@@ -104,7 +103,8 @@ pub enum SchemeKind {
     /// Federated learning (FedAvg over full models).
     Federated,
     /// Vanilla split learning: strictly sequential clients, one
-    /// client-side and one server-side model, relay through the AP.
+    /// client-side and one server-side model, relay through the AP —
+    /// GSFL over one chain of the admitted clients (see [`Gsfl`]).
     VanillaSplit,
     /// SplitFed v1: all clients parallel, one server-side model per
     /// client, FedAvg of both halves — GSFL over singleton groups (see
@@ -148,9 +148,9 @@ impl SchemeKind {
         match self {
             SchemeKind::Centralized => Box::new(Centralized::new()),
             SchemeKind::Federated => Box::new(Federated::new()),
-            SchemeKind::VanillaSplit => Box::new(VanillaSplit::new()),
-            SchemeKind::SplitFed => Box::new(Gsfl::splitfed()),
-            SchemeKind::Gsfl => Box::new(Gsfl::new()),
+            SchemeKind::VanillaSplit | SchemeKind::SplitFed | SchemeKind::Gsfl => {
+                Box::new(Gsfl::of(self))
+            }
         }
     }
 

@@ -13,7 +13,7 @@ use crate::scheme::SchemeKind;
 /// * FL — the global full model,
 /// * SL — one server-side model,
 /// * SFL — one server-side model **per client**,
-/// * GSFL — one server-side model **per group** plus the aggregated one.
+/// * GSFL — one server-side model **per group**.
 pub fn server_storage_bytes(
     kind: SchemeKind,
     clients: usize,

@@ -206,6 +206,40 @@ fn quorum_missed_rounds_leave_global_unchanged() {
     }
 }
 
+/// A round in which nobody delivered misses its quorum however small the
+/// quorum fraction: with every client past a 1 ns deadline and a quorum
+/// of 1e-13, every scheme records a missed quorum with all six clients
+/// lost and keeps its model.
+#[test]
+fn zero_survivor_rounds_miss_quorum_at_any_quorum_fraction() {
+    let recovery = RecoverySpec {
+        deadline: Some(DeadlinePolicy {
+            deadline_s: 1e-9,
+            min_quorum_frac: 1e-13,
+        }),
+        backups: 0,
+    };
+    for kind in [
+        SchemeKind::Federated,
+        SchemeKind::VanillaSplit,
+        SchemeKind::SplitFed,
+        SchemeKind::Gsfl,
+    ] {
+        let runner = Runner::new(tiny(Scenario::Static, recovery)).unwrap();
+        let ctx = runner.context();
+        let mut scheme = kind.scheme();
+        scheme.init(ctx).unwrap();
+        let start = scheme.global_params().unwrap();
+        for round in 1..=3usize {
+            let out = scheme.run_round(ctx, round).unwrap();
+            assert!(!out.latency.faults.quorum_met, "{kind}: round {round}");
+            assert_eq!(out.latency.faults.lost_clients, 6, "{kind}: round {round}");
+            assert!(!out.aggregated, "{kind}: round {round}");
+        }
+        assert_eq!(scheme.global_params().unwrap(), start, "{kind}");
+    }
+}
+
 /// A recovery spec that never fires — a deadline far beyond any round
 /// and backups with no crashes to cover — prices and trains exactly
 /// like no recovery spec at all.

@@ -1,6 +1,6 @@
 //! Parallel-client execution must be invisible in the results: training
-//! the FedAvg-style schemes with any forced thread count has to produce
-//! records byte-identical to the sequential path. Work is partitioned at
+//! the FedAvg-style schemes and SL with any forced thread count has to
+//! produce records byte-identical to the sequential path. Work is partitioned at
 //! fixed client/group boundaries and aggregated in fixed order, so this
 //! holds by construction — and this suite pins it.
 
@@ -79,13 +79,15 @@ fn assert_records_bitwise_equal(
 
 #[test]
 fn forced_thread_counts_are_byte_identical_to_sequential() {
-    // Federated and SplitFed fan clients out; GSFL fans groups out.
+    // Federated and SplitFed fan clients out; GSFL fans groups out; SL
+    // trains its one chain inline whatever the thread count.
     for (input, make) in [
         ("static", config as fn(Option<usize>) -> ExperimentConfig),
         ("orchestrated", orchestrated_config),
     ] {
         for kind in [
             SchemeKind::Federated,
+            SchemeKind::VanillaSplit,
             SchemeKind::SplitFed,
             SchemeKind::Gsfl,
         ] {

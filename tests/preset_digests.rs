@@ -17,7 +17,10 @@
 //! codec with error feedback on `static`, under the greedy orchestrator
 //! (per-client cuts) on `orchestrated`, and on population-mode `chaos`
 //! with standby clients — the cases that pin relay residuals and
-//! backup trainees bit for bit.
+//! backup trainees bit for bit. The split schemes also run with
+//! momentum 0.9, which pins SL's optimizer velocity carried across
+//! rounds; SL runs once under a shared bandwidth pool (its whole-band
+//! share) and once under the greedy cut policy.
 
 use gsfl::core::compression::CompressionSpec;
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
@@ -175,6 +178,30 @@ fn cases() -> Vec<(String, ExperimentConfig, SchemeKind)> {
             kind,
         ));
     }
+    for kind in [
+        SchemeKind::VanillaSplit,
+        SchemeKind::SplitFed,
+        SchemeKind::Gsfl,
+    ] {
+        let mut cfg = config(preset("static"));
+        cfg.momentum = 0.9;
+        cases.push((format!("static {} momentum", kind.name()), cfg, kind));
+    }
+    let mut cfg = config(preset("static"));
+    cfg.channel = ChannelMode::SharedPool;
+    cfg.bandwidth_policy = BandwidthPolicy::ChannelAware;
+    cases.push((
+        "static sl shared-pool".to_string(),
+        cfg,
+        SchemeKind::VanillaSplit,
+    ));
+    let mut cut_only = config(preset("adaptive_cut"));
+    cut_only.cut_policy = CutPolicySpec::Greedy;
+    cases.push((
+        "adaptive_cut sl greedy-cut".to_string(),
+        cut_only,
+        SchemeKind::VanillaSplit,
+    ));
     cases
 }
 

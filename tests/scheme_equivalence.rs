@@ -1,5 +1,9 @@
 //! Structural equivalences between schemes:
 //!
+//! * SL is computed as GSFL over one chain of the admitted clients, so
+//!   GSFL with one round-robin group trains and charges the same rounds;
+//!   only GSFL's one-replica FedAvg task lengthens its round, by well
+//!   under 1e-5 relative.
 //! * SplitFed is computed as GSFL over singleton groups in admitted
 //!   order, so GSFL whose grouping yields singletons in client order
 //!   produces the same records; the schemes differ in storage
@@ -8,12 +12,13 @@
 //!   bit-identical records.
 //! * Split and full models compute the same function.
 
-use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
+use gsfl::core::config::{DatasetConfig, ExperimentConfig, GroupingKind, ModelKind};
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
 use gsfl::nn::model::Mlp;
 use gsfl::nn::split::SplitNetwork;
 use gsfl::tensor::Tensor;
+use gsfl::wireless::Scenario;
 
 fn config(clients: usize, groups: usize) -> ExperimentConfig {
     ExperimentConfig::builder()
@@ -51,6 +56,44 @@ fn gsfl_with_singleton_groups_matches_splitfed_trajectory() {
     // The storage accounting is where they differ: SFL keeps N replicas,
     // GSFL(M=N) also N — but at the paper's M=6 < N the gap appears.
     assert_eq!(gsfl.server_storage_bytes, sfl.server_storage_bytes);
+}
+
+#[test]
+fn gsfl_with_one_group_matches_sl_trajectory() {
+    // `hierarchical` is left out: there GSFL also ships its one-group
+    // aggregate over the backhaul, which SL never does.
+    for name in ["static", "mobility", "chaos"] {
+        let mut cfg = config(8, 1);
+        cfg.rounds = 3;
+        cfg.grouping = GroupingKind::RoundRobin;
+        cfg.scenario = Scenario::preset(name).unwrap();
+        let runner = Runner::new(cfg).unwrap();
+        let sl = runner.run(SchemeKind::VanillaSplit).unwrap();
+        let gsfl = runner.run(SchemeKind::Gsfl).unwrap();
+        assert_eq!(sl.records.len(), gsfl.records.len(), "{name}");
+        for (a, b) in sl.records.iter().zip(&gsfl.records) {
+            let at = format!("{name}, round {}", a.round);
+            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "{at}");
+            assert_eq!(
+                a.test_accuracy.map(f64::to_bits),
+                b.test_accuracy.map(f64::to_bits),
+                "{at}"
+            );
+            assert_eq!(
+                (a.bytes_up, a.bytes_down, a.bytes_up_raw, a.bytes_down_raw),
+                (b.bytes_up, b.bytes_down, b.bytes_up_raw, b.bytes_down_raw),
+                "{at}"
+            );
+            assert_eq!(
+                a.client_energy_j.to_bits(),
+                b.client_energy_j.to_bits(),
+                "{at}"
+            );
+            assert_eq!(a.lost_clients, b.lost_clients, "{at}");
+            let gap = (a.round_latency_s - b.round_latency_s).abs() / a.round_latency_s;
+            assert!(gap <= 1e-5, "{at}: latency gap {gap:e}");
+        }
+    }
 }
 
 #[test]

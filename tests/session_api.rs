@@ -110,6 +110,26 @@ fn event_stream_shape_is_consistent() {
 }
 
 /// A latency budget halts a run mid-way through its round budget.
+/// SL's one chain is never merged, so an SL session emits no
+/// `Aggregated` event, while SplitFed and GSFL emit one per round.
+#[test]
+fn sl_never_aggregates_while_sfl_and_gsfl_aggregate_every_round() {
+    let runner = Runner::new(config(4)).unwrap();
+    for (kind, per_round) in [
+        (SchemeKind::VanillaSplit, 0),
+        (SchemeKind::SplitFed, 1),
+        (SchemeKind::Gsfl, 1),
+    ] {
+        let mut aggregated = vec![0usize; 4];
+        for event in runner.session(kind).unwrap() {
+            if let RoundEvent::Aggregated { round } = event.unwrap() {
+                aggregated[round - 1] += 1;
+            }
+        }
+        assert_eq!(aggregated, vec![per_round; 4], "{kind}");
+    }
+}
+
 #[test]
 fn latency_budget_halts_mid_run() {
     let runner = Runner::new(config(6)).unwrap();
