@@ -4,6 +4,11 @@
 //! clients, 6 groups) and prints the E3 summary: the paper claims GSFL
 //! converges ≈5× faster than FL in rounds and tracks SL/CL closely.
 //!
+//! The GSFL-vs-FL ordering is a gate: the binary exits non-zero unless
+//! both schemes reach at least one common accuracy target on the ladder
+//! 10%, 20%, …, 90% and GSFL reaches every such target in fewer rounds
+//! than FL.
+//!
 //! Usage: `cargo run -p gsfl-bench --release --bin fig2a [--rounds N] [--full]`
 
 use gsfl_bench::{accuracy_series, paper_config, print_table, rounds_override, save_result};
@@ -64,38 +69,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     print_table(&["round", "CL", "SL", "GSFL", "FL"], &rows);
 
-    // E3 summary: rounds-to-target ratios.
-    let target = 0.80;
-    println!("\nE3 — rounds to {:.0}% accuracy:", target * 100.0);
+    // E3 summary and gate: rounds to each target on a 10% ladder.
+    let rounds_to = |kind: SchemeKind, target: f64| {
+        results
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .and_then(|(_, r)| r.rounds_to_accuracy(target))
+    };
+    let cell = |x: Option<usize>| x.map_or_else(|| "—".into(), |x| x.to_string());
+    println!("\nE3 — rounds to target accuracy:");
     let mut summary = Vec::new();
-    for (kind, r) in &results {
-        summary.push(vec![
-            kind.to_string(),
-            r.rounds_to_accuracy(target)
-                .map(|x| x.to_string())
-                .unwrap_or_else(|| "not reached".into()),
-            format!("{:.1}", r.best_accuracy_pct()),
-        ]);
+    let mut shared_targets = 0usize;
+    let mut misses = Vec::new();
+    for pct in (10..=90).step_by(10) {
+        let target = f64::from(pct) / 100.0;
+        let mut row = vec![format!("{pct}%")];
+        row.extend(schemes.iter().map(|&k| cell(rounds_to(k, target))));
+        let gsfl = rounds_to(SchemeKind::Gsfl, target);
+        let fl = rounds_to(SchemeKind::Federated, target);
+        row.push(match (gsfl, fl) {
+            (Some(g), Some(f)) if g > 0 => format!("{:.1}×", f as f64 / g as f64),
+            _ => "—".into(),
+        });
+        if let (Some(g), Some(f)) = (gsfl, fl) {
+            shared_targets += 1;
+            if g >= f {
+                misses.push(format!("{pct}% (GSFL round {g} vs FL round {f})"));
+            }
+        }
+        summary.push(row);
     }
-    print_table(&["scheme", "rounds_to_80%", "best_acc_%"], &summary);
-    let gsfl_rounds = results
-        .iter()
-        .find(|(k, _)| *k == SchemeKind::Gsfl)
-        .and_then(|(_, r)| r.rounds_to_accuracy(target));
-    let fl_rounds = results
-        .iter()
-        .find(|(k, _)| *k == SchemeKind::Federated)
-        .and_then(|(_, r)| r.rounds_to_accuracy(target));
-    match (gsfl_rounds, fl_rounds) {
-        (Some(g), Some(f)) => println!(
-            "\nFL/GSFL convergence-round ratio: {:.1}× (paper: ≈5×)",
-            f as f64 / g as f64
-        ),
-        (Some(g), None) => println!(
-            "\nFL never reached {:.0}% within {rounds} rounds; GSFL did at round {g} (paper: GSFL ≈5× faster)",
-            target * 100.0
-        ),
-        _ => println!("\nGSFL did not reach the target within {rounds} rounds — increase --rounds"),
+    print_table(&["target", "CL", "SL", "GSFL", "FL", "FL/GSFL"], &summary);
+    println!("\npaper claim: GSFL converges in ≈5× fewer rounds than FL");
+    if shared_targets == 0 {
+        eprintln!("fig2a gate failed: GSFL and FL reach no accuracy target in common");
+        std::process::exit(1);
     }
+    if !misses.is_empty() {
+        eprintln!(
+            "fig2a gate failed: GSFL does not need fewer rounds than FL at {}",
+            misses.join(", ")
+        );
+        std::process::exit(1);
+    }
+    println!("gate: GSFL beats FL in rounds at all {shared_targets} target(s) both reach");
     Ok(())
 }

@@ -10,7 +10,7 @@ use gsfl_core::compression::CompressionSpec;
 use gsfl_core::latency::SplitCosts;
 use gsfl_core::orchestrator::{codec_menu, GreedyJoint, Orchestrator, PlanQuery};
 use gsfl_nn::model::Mlp;
-use gsfl_wireless::environment::{ChannelModel, StaticEnvironment};
+use gsfl_wireless::environment::{ChannelModel, RadioEnvironment};
 use gsfl_wireless::latency::LatencyModel;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -18,13 +18,15 @@ use std::hint::black_box;
 /// Registers the orchestrator benches on `suite`.
 pub fn register(suite: &mut Suite) {
     let clients = 64usize;
-    let env = StaticEnvironment::new(
+    let env = RadioEnvironment::builder(
         LatencyModel::builder()
             .clients(clients)
             .seed(7)
             .build()
             .unwrap(),
-    );
+    )
+    .build()
+    .unwrap();
     let net = Mlp::new(768, &[128, 64], 43, 0).into_sequential();
     let candidates: Vec<usize> = (1..net.depth()).collect();
     let costs: BTreeMap<usize, SplitCosts> = candidates

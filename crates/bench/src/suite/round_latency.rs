@@ -11,12 +11,12 @@ use gsfl_core::latency::{
 use gsfl_core::recovery::RecoveryPlan;
 use gsfl_nn::model::Mlp;
 use gsfl_wireless::allocation::BandwidthPolicy;
-use gsfl_wireless::environment::{ChannelModel, DynamicEnvironment, StaticEnvironment};
+use gsfl_wireless::environment::{ChannelModel, RadioEnvironment};
 use gsfl_wireless::latency::LatencyModel;
 use gsfl_wireless::FaultSpec;
 use std::hint::black_box;
 
-fn fixture(clients: usize) -> (StaticEnvironment, SplitCosts, Vec<usize>) {
+fn fixture(clients: usize) -> (RadioEnvironment, SplitCosts, Vec<usize>) {
     let latency = LatencyModel::builder()
         .clients(clients)
         .seed(7)
@@ -25,7 +25,11 @@ fn fixture(clients: usize) -> (StaticEnvironment, SplitCosts, Vec<usize>) {
     let net = Mlp::new(768, &[128, 64], 43, 0).into_sequential();
     let costs = SplitCosts::compute(&net, 2, &[768], 16).unwrap();
     let steps = vec![5usize; clients];
-    (StaticEnvironment::new(latency), costs, steps)
+    (
+        RadioEnvironment::builder(latency).build().unwrap(),
+        costs,
+        steps,
+    )
 }
 
 /// Registers the round-latency benches on `suite`.
@@ -59,10 +63,12 @@ pub fn register(suite: &mut Suite) {
     // per-transfer fault queries never silently blow up round pricing.
     let (_, costs64, steps64) = fixture(64);
     let clean64 =
-        StaticEnvironment::new(LatencyModel::builder().clients(64).seed(7).build().unwrap());
+        RadioEnvironment::builder(LatencyModel::builder().clients(64).seed(7).build().unwrap())
+            .build()
+            .unwrap();
     let clean64: &dyn ChannelModel = &clean64;
     let faulty64 =
-        DynamicEnvironment::builder(LatencyModel::builder().clients(64).seed(7).build().unwrap())
+        RadioEnvironment::builder(LatencyModel::builder().clients(64).seed(7).build().unwrap())
             .faults(FaultSpec {
                 loss_prob: 0.1,
                 crash_prob: 0.05,

@@ -1538,12 +1538,12 @@ mod tests {
     use super::*;
     use gsfl_nn::model::Mlp;
     use gsfl_wireless::device::DeviceProfile;
-    use gsfl_wireless::environment::StaticEnvironment;
+    use gsfl_wireless::environment::RadioEnvironment;
     use gsfl_wireless::latency::LatencyModel;
     use gsfl_wireless::server::EdgeServer;
     use gsfl_wireless::units::{FlopsRate, Meters};
 
-    fn fixture(slots: usize, clients: usize) -> (StaticEnvironment, SplitCosts) {
+    fn fixture(slots: usize, clients: usize) -> (RadioEnvironment, SplitCosts) {
         let latency = LatencyModel::builder()
             .clients(clients)
             .fading(false)
@@ -1557,7 +1557,7 @@ mod tests {
             .unwrap();
         let net = Mlp::new(48, &[32, 32], 5, 0).into_sequential();
         let costs = SplitCosts::compute(&net, 2, &[48], 8).unwrap();
-        (StaticEnvironment::new(latency), costs)
+        (RadioEnvironment::builder(latency).build().unwrap(), costs)
     }
 
     #[test]
@@ -1707,7 +1707,7 @@ mod tests {
     #[test]
     fn backhaul_is_free_by_default_and_charged_when_priced() {
         use gsfl_wireless::backhaul::BackhaulLink;
-        use gsfl_wireless::multi_ap::MultiApEnvironment;
+        use gsfl_wireless::environment::RadioEnvironment;
         let (flat, costs) = fixture(4, 4);
         let fl = fl_round(&flat, &costs, &[1, 1, 1, 1], 1, 0).unwrap();
         assert_eq!(fl.breakdown.backhaul_s, 0.0);
@@ -1723,7 +1723,7 @@ mod tests {
                 .server(EdgeServer::new(FlopsRate::from_gflops(50.0), 4).unwrap())
                 .build()
                 .unwrap();
-            let mut b = MultiApEnvironment::builder(latency).line(2, 100.0).unwrap();
+            let mut b = RadioEnvironment::builder(latency).line(2, 100.0).unwrap();
             if let Some(l) = link {
                 b = b.backhaul(l);
             }
@@ -1773,10 +1773,10 @@ mod tests {
     #[test]
     fn backhaul_charge_dedupes_aps_and_takes_the_max() {
         use gsfl_wireless::backhaul::BackhaulLink;
-        use gsfl_wireless::multi_ap::MultiApEnvironment;
+        use gsfl_wireless::environment::RadioEnvironment;
         let latency = LatencyModel::builder().clients(2).seed(1).build().unwrap();
         let link = BackhaulLink::new(1e6, 0.01).unwrap();
-        let env = MultiApEnvironment::builder(latency)
+        let env = RadioEnvironment::builder(latency)
             .line(3, 100.0)
             .unwrap()
             .backhaul(link)
@@ -1829,12 +1829,12 @@ mod energy_tests {
     use super::*;
     use gsfl_nn::model::Mlp;
     use gsfl_wireless::device::DeviceProfile;
-    use gsfl_wireless::environment::StaticEnvironment;
+    use gsfl_wireless::environment::RadioEnvironment;
     use gsfl_wireless::latency::LatencyModel;
     use gsfl_wireless::server::EdgeServer;
     use gsfl_wireless::units::{FlopsRate, Meters};
 
-    fn fixture(clients: usize) -> (StaticEnvironment, SplitCosts) {
+    fn fixture(clients: usize) -> (RadioEnvironment, SplitCosts) {
         let latency = LatencyModel::builder()
             .clients(clients)
             .fading(false)
@@ -1848,7 +1848,7 @@ mod energy_tests {
             .unwrap();
         let net = Mlp::new(48, &[32, 32], 5, 0).into_sequential();
         let costs = SplitCosts::compute(&net, 2, &[48], 8).unwrap();
-        (StaticEnvironment::new(latency), costs)
+        (RadioEnvironment::builder(latency).build().unwrap(), costs)
     }
 
     #[test]

@@ -852,11 +852,11 @@ impl PlanSelector {
 mod tests {
     use super::*;
     use gsfl_nn::model::Mlp;
-    use gsfl_wireless::environment::StaticEnvironment;
+    use gsfl_wireless::environment::RadioEnvironment;
     use gsfl_wireless::latency::LatencyModel;
 
     struct Fixture {
-        env: StaticEnvironment,
+        env: RadioEnvironment,
         costs: BTreeMap<usize, SplitCosts>,
         candidates: Vec<usize>,
         menu: Vec<CompressionSpec>,
@@ -865,14 +865,16 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let env = StaticEnvironment::new(
+        let env = RadioEnvironment::builder(
             LatencyModel::builder()
                 .clients(3)
                 .seed(4)
                 .fading(false)
                 .build()
                 .unwrap(),
-        );
+        )
+        .build()
+        .unwrap();
         let net = Mlp::new(48, &[32, 32], 5, 0).into_sequential();
         let candidates: Vec<usize> = (1..net.depth()).collect();
         let costs = candidates

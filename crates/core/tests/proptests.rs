@@ -18,14 +18,14 @@ use gsfl_tensor::rng::SeedDerive;
 use gsfl_tensor::workspace::Workspace;
 use gsfl_wireless::allocation::BandwidthPolicy;
 use gsfl_wireless::device::DeviceProfile;
-use gsfl_wireless::environment::{ChannelModel, StaticEnvironment};
+use gsfl_wireless::environment::{ChannelModel, RadioEnvironment};
 use gsfl_wireless::latency::LatencyModel;
 use gsfl_wireless::server::EdgeServer;
 use gsfl_wireless::units::{FlopsRate, Meters};
 use proptest::prelude::*;
 
-fn model(clients: usize, slots: usize, seed: u64) -> StaticEnvironment {
-    StaticEnvironment::new(
+fn model(clients: usize, slots: usize, seed: u64) -> RadioEnvironment {
+    RadioEnvironment::builder(
         LatencyModel::builder()
             .clients(clients)
             .seed(seed)
@@ -33,6 +33,8 @@ fn model(clients: usize, slots: usize, seed: u64) -> StaticEnvironment {
             .build()
             .unwrap(),
     )
+    .build()
+    .unwrap()
 }
 
 fn costs() -> SplitCosts {
@@ -248,22 +250,22 @@ proptest! {
         let costs = costs();
         let steps = vec![3usize; 6];
         let order: Vec<usize> = (0..6).collect();
-        let slow = StaticEnvironment::new(LatencyModel::builder()
+        let slow = RadioEnvironment::builder(LatencyModel::builder()
             .clients(6)
             .seed(seed)
             .fixed_devices(vec![DeviceProfile::new(FlopsRate::from_gflops(0.2)).unwrap(); 6])
             .fixed_distances(vec![Meters::new(80.0); 6])
             .fading(false)
             .build()
-            .unwrap());
-        let fast = StaticEnvironment::new(LatencyModel::builder()
+            .unwrap()).build().unwrap();
+        let fast = RadioEnvironment::builder(LatencyModel::builder()
             .clients(6)
             .seed(seed)
             .fixed_devices(vec![DeviceProfile::new(FlopsRate::from_gflops(2.0)).unwrap(); 6])
             .fixed_distances(vec![Meters::new(80.0); 6])
             .fading(false)
             .build()
-            .unwrap());
+            .unwrap()).build().unwrap();
         let t_slow = sl_round(&slow, &costs, &steps, &order, ChannelMode::Dedicated, 0).unwrap();
         let t_fast = sl_round(&fast, &costs, &steps, &order, ChannelMode::Dedicated, 0).unwrap();
         prop_assert!(t_fast.duration.as_secs_f64() < t_slow.duration.as_secs_f64());

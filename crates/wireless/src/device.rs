@@ -61,10 +61,14 @@ impl DeviceHeterogeneity {
     ///
     /// # Errors
     ///
-    /// Returns [`WirelessError::Config`] when bounds are non-positive or
-    /// inverted.
+    /// Returns [`WirelessError::Config`] when bounds are non-positive,
+    /// inverted or non-finite.
     pub fn sample(&self, n: usize, seed: u64) -> Result<Vec<DeviceProfile>> {
-        if self.min_gflops <= 0.0 || self.max_gflops < self.min_gflops {
+        // NaN fails every comparison, so it is rejected here too.
+        let ok = self.min_gflops > 0.0
+            && self.min_gflops <= self.max_gflops
+            && self.max_gflops.is_finite();
+        if !ok {
             return Err(WirelessError::Config(format!(
                 "device rate bounds invalid: [{}, {}]",
                 self.min_gflops, self.max_gflops

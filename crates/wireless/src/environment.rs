@@ -24,31 +24,37 @@
 //! the snapshot is bit-identical to one computed from the link budget
 //! directly.
 //!
-//! Two implementations ship here:
+//! Two implementations ship:
 //!
-//! * [`StaticEnvironment`] — a transparent wrapper over the composed
-//!   [`LatencyModel`]; every round sees the same topology, bandwidth and
-//!   device fleet (fading still varies per block).
-//! * [`DynamicEnvironment`] — the static base plus time-varying overlays:
-//!   mobility-driven path-loss drift ([`Mobility`]), diurnal/congested
-//!   bandwidth profiles ([`BandwidthProfile`]), straggler injection
-//!   ([`StragglerInjector`]) and dropout injection ([`DropoutInjector`]).
+//! * [`RadioEnvironment`] — the analytic network over the composed
+//!   [`LatencyModel`]. By default it is the paper's cell: one AP at the
+//!   origin with its edge server, and every round the same topology,
+//!   bandwidth and device fleet (fading still varies per block). Its
+//!   builder adds the time-varying overlays — mobility-driven path-loss
+//!   drift ([`Mobility`]), bandwidth profiles ([`BandwidthProfile`]),
+//!   compute stragglers ([`StragglerInjector`]), seeded faults
+//!   ([`FaultSpec`]) and co-channel interference ([`InterferenceSpec`]) —
+//!   and several APs with handoffs and a priced backhaul
+//!   ([`crate::multi_ap`]).
+//! * [`crate::trace::TraceEnvironment`] — measured per-client links
+//!   replayed from a trace.
 //!
-//! [`crate::multi_ap::MultiApEnvironment`] and
-//! [`crate::trace::TraceEnvironment`] are the other two. Ready-made
-//! presets over all four live in [`crate::scenario`].
+//! Ready-made presets over both live in [`crate::scenario`].
 
+use crate::backhaul::BackhaulLink;
 use crate::energy::PowerProfile;
 use crate::fault::{FaultInjector, FaultSpec, TransferOutcome};
 use crate::interference::InterferenceSpec;
 use crate::latency::LatencyModel;
-use crate::mobility::Mobility;
+use crate::mobility::{Mobility, Stationary};
+use crate::multi_ap::{AccessPoint, ApSignal, HandoffKind, HandoffPolicy, NearestAp};
 use crate::server::EdgeServer;
 use crate::units::{Bytes, FlopsRate, Hertz, Meters, Seconds};
 use crate::{Result, WirelessError};
 use gsfl_tensor::rng::SeedDerive;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::RwLock;
 
 /// The wireless environment, per round.
 ///
@@ -206,7 +212,7 @@ pub trait ChannelModel: std::fmt::Debug + Send + Sync {
     /// tier, if this environment prices that hop. `None` (the default)
     /// means an infinitely fast backhaul — the historical single-tier
     /// behavior, and what keeps 1-AP environments byte-identical.
-    fn backhaul(&self, ap: usize) -> Option<crate::backhaul::BackhaulLink> {
+    fn backhaul(&self, ap: usize) -> Option<BackhaulLink> {
         let _ = ap;
         None
     }
@@ -402,169 +408,6 @@ impl RoundConditions {
     }
 }
 
-/// Draws the state of `client` over the analytic base model: fading
-/// gains from the base model's streams and each direction's received
-/// power at `distance`. `compute_rate`, `available` and `ap` come from
-/// the environment's overlays.
-pub(crate) fn radio_conditions(
-    base: &LatencyModel,
-    client: usize,
-    round: u64,
-    distance: Meters,
-    compute_rate: FlopsRate,
-    available: bool,
-    ap: usize,
-) -> ClientConditions {
-    let uplink_gain = base.uplink_gain(client, round);
-    let downlink_gain = base.downlink_gain(client, round);
-    ClientConditions {
-        client,
-        distance,
-        compute_rate,
-        uplink_gain,
-        downlink_gain,
-        available,
-        ap,
-        link: LinkState::Radio {
-            uplink_rx_dbm: base.uplink_budget().rx_dbm(distance, uplink_gain),
-            downlink_rx_dbm: base.downlink_budget().rx_dbm(distance, downlink_gain),
-        },
-    }
-}
-
-/// The link-pricing path of every analytic environment: the Shannon rate
-/// of `client`'s link at `share` from its snapshot received power, under
-/// the co-channel interference of `concurrent`. An uplink hears each
-/// concurrent uplink's signal at the victim's serving AP; a downlink
-/// hears, at the victim, the AP serving each concurrent receiver. Each
-/// source is summed in `concurrent` order and scaled by the reuse
-/// factor.
-pub(crate) fn radio_link(
-    base: &LatencyModel,
-    interference: Option<InterferenceSpec>,
-    cond: &RoundConditions,
-    client: usize,
-    dir: Direction,
-    share: Hertz,
-    concurrent: &[usize],
-) -> Result<Link> {
-    let entry = cond.client(client)?;
-    let (up_dbm, down_dbm) = entry.radio()?;
-    let mut interference_mw = 0.0;
-    if let Some(spec) = interference.filter(InterferenceSpec::is_active) {
-        let mut sum = 0.0f64;
-        let mut heard = false;
-        for &other in concurrent {
-            if other == client {
-                continue;
-            }
-            let dbm = match dir {
-                Direction::Uplink => cond.path(other, entry.ap)?.0,
-                Direction::Downlink => cond.path(client, cond.client(other)?.ap)?.1,
-            };
-            sum += 10f64.powf(dbm / 10.0);
-            heard = true;
-        }
-        if heard {
-            interference_mw = sum * spec.reuse_factor;
-        }
-    }
-    let (budget, rx_dbm) = match dir {
-        Direction::Uplink => (base.uplink_budget(), up_dbm),
-        Direction::Downlink => (base.downlink_budget(), down_dbm),
-    };
-    Ok(Link {
-        rate_bps: budget.rate_bps_at(rx_dbm, share, interference_mw),
-        latency_s: 0.0,
-    })
-}
-
-/// The always-the-same environment: a transparent [`ChannelModel`] view
-/// of the composed [`LatencyModel`]. Prices are identical to the model's
-/// own queries, so results through the trait are byte-identical to the
-/// pre-trait code path.
-#[derive(Debug, Clone)]
-pub struct StaticEnvironment {
-    base: LatencyModel,
-    interference: Option<InterferenceSpec>,
-}
-
-impl StaticEnvironment {
-    /// Wraps a composed latency model.
-    pub fn new(base: LatencyModel) -> Self {
-        StaticEnvironment {
-            base,
-            interference: None,
-        }
-    }
-
-    /// Enables co-channel interference between concurrent transmitters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::Config`] for a reuse factor outside
-    /// `[0, 1]`.
-    pub fn with_interference(mut self, spec: InterferenceSpec) -> Result<Self> {
-        spec.validate()?;
-        self.interference = Some(spec);
-        Ok(self)
-    }
-
-    /// The wrapped model.
-    pub fn base(&self) -> &LatencyModel {
-        &self.base
-    }
-}
-
-impl ChannelModel for StaticEnvironment {
-    fn client_count(&self) -> usize {
-        self.base.client_count()
-    }
-
-    fn total_bandwidth(&self, _round: u64) -> Hertz {
-        self.base.total_bandwidth()
-    }
-
-    fn server(&self) -> &EdgeServer {
-        self.base.server()
-    }
-
-    fn power(&self) -> &PowerProfile {
-        self.base.power()
-    }
-
-    fn client_conditions(&self, client: usize, round: u64) -> Result<ClientConditions> {
-        let distance = self.base.distance(client)?;
-        let rate = self.base.device(client)?.rate();
-        Ok(radio_conditions(
-            &self.base, client, round, distance, rate, true, 0,
-        ))
-    }
-
-    fn link(
-        &self,
-        cond: &RoundConditions,
-        client: usize,
-        dir: Direction,
-        share: Hertz,
-        concurrent: &[usize],
-    ) -> Result<Link> {
-        radio_link(
-            &self.base,
-            self.interference,
-            cond,
-            client,
-            dir,
-            share,
-            concurrent,
-        )
-    }
-
-    fn server_compute(&self, flops: u64) -> Seconds {
-        self.base.server_compute(flops)
-    }
-}
-
 /// How the total system bandwidth varies over rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum BandwidthProfile {
@@ -653,27 +496,24 @@ impl StragglerInjector {
     }
 }
 
-/// Deterministic per-round radio-dropout injection: with probability
-/// `probability` a client is unreachable for a round (deep shadowing,
-/// cell reselection, battery saver).
+/// The analytic radio environment: APs with co-located edge servers, the
+/// clients of the composed [`LatencyModel`], and any time-varying
+/// overlays. Built via [`RadioEnvironment::builder`] or from a
+/// [`crate::scenario::Scenario`] preset.
 ///
-/// Since the fault layer landed this is a thin alias for the
-/// [`FaultSpec::dropout_prob`] channel of the unified
-/// [`FaultInjector`] — one seeded failure source — on the *exact* same
-/// derived RNG stream, so pre-fault `dropouts` presets stay bitwise
-/// identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DropoutInjector {
-    /// Per-client-round dropout probability, in `[0, 1]`.
-    pub probability: f64,
-}
-
-/// A time-varying environment: the static base plus mobility, bandwidth,
-/// straggler and dropout overlays. Built via [`DynamicEnvironment::builder`]
-/// or from a [`crate::scenario::Scenario`] preset.
+/// Each client keeps the bearing the builder seed assigned it and moves
+/// radially per the [`Mobility`] model, so the processes that drive
+/// path-loss drift also drive handoffs. A [`HandoffPolicy`] picks every
+/// client's serving AP each round, a deterministic recurrence over
+/// rounds that is memoized internally. With one AP at the origin a
+/// client's distance is its mobility radius itself, not a 2D round trip
+/// through `sqrt`.
 #[derive(Debug)]
-pub struct DynamicEnvironment {
+pub struct RadioEnvironment {
     base: LatencyModel,
+    aps: Vec<AccessPoint>,
+    handoff: Box<dyn HandoffPolicy>,
+    backhaul: Option<BackhaulLink>,
     mobility: Box<dyn Mobility>,
     bandwidth: BandwidthProfile,
     stragglers: Option<StragglerInjector>,
@@ -683,45 +523,193 @@ pub struct DynamicEnvironment {
     faults: Option<FaultInjector>,
     interference: Option<InterferenceSpec>,
     seeds: SeedDerive,
+    /// Per-client bearing from the origin (radians); empty when every AP
+    /// sits at the origin, where bearings never matter.
+    angles: Vec<f64>,
+    /// Memoized associations: `assoc[round][client]`, filled in round
+    /// order so the handoff recurrence is deterministic.
+    assoc: RwLock<Vec<Vec<usize>>>,
 }
 
-/// Builder for [`DynamicEnvironment`].
+/// Builder for [`RadioEnvironment`].
 #[derive(Debug)]
-pub struct DynamicEnvironmentBuilder {
+pub struct RadioEnvironmentBuilder {
     base: LatencyModel,
+    aps: Vec<AccessPoint>,
+    handoff: Box<dyn HandoffPolicy>,
+    backhaul: Option<BackhaulLink>,
     mobility: Box<dyn Mobility>,
     bandwidth: BandwidthProfile,
     stragglers: Option<StragglerInjector>,
-    dropouts: Option<DropoutInjector>,
-    faults: Option<FaultSpec>,
+    faults: FaultSpec,
     interference: Option<InterferenceSpec>,
     seed: u64,
 }
 
-impl DynamicEnvironment {
-    /// Starts a builder over a static base model; with no overlays the
-    /// result behaves exactly like [`StaticEnvironment`].
-    pub fn builder(base: LatencyModel) -> DynamicEnvironmentBuilder {
-        DynamicEnvironmentBuilder {
+impl RadioEnvironment {
+    /// Starts a builder over a base model. With no further calls the
+    /// result is the paper's cell: one AP at the origin carrying the base
+    /// model's server, stationary clients, the full band every round and
+    /// no impairments.
+    pub fn builder(base: LatencyModel) -> RadioEnvironmentBuilder {
+        let server = *base.server();
+        RadioEnvironmentBuilder {
             base,
-            mobility: Box::new(crate::mobility::Stationary),
+            aps: vec![AccessPoint {
+                x_m: 0.0,
+                y_m: 0.0,
+                server,
+            }],
+            handoff: Box::new(NearestAp),
+            backhaul: None,
+            mobility: Box::new(Stationary),
             bandwidth: BandwidthProfile::Constant,
             stragglers: None,
-            dropouts: None,
-            faults: None,
+            faults: FaultSpec::default(),
             interference: None,
             seed: 0,
         }
     }
 
-    fn straggle_factor(&self, client: usize, round: u64) -> f64 {
-        self.stragglers
-            .map(|s| s.slowdown_at(client, round, &self.seeds))
-            .unwrap_or(1.0)
+    /// Distance from `client` to AP `ap` in `round`: the mobility model
+    /// over the placement radius, seen from the AP.
+    pub(crate) fn distance_to_ap(&self, client: usize, ap: usize, round: u64) -> Result<Meters> {
+        let placed = self.base.distance(client)?;
+        let r = self.mobility.distance_at(client, placed, round);
+        let ap = &self.aps[ap];
+        if ap.at_origin() {
+            return Ok(r);
+        }
+        let theta = self.angles[client];
+        let dx = r.as_meters() * theta.cos() - ap.x_m;
+        let dy = r.as_meters() * theta.sin() - ap.y_m;
+        Ok(Meters::new((dx * dx + dy * dy).sqrt().max(1.0)))
+    }
+
+    fn signals(&self, client: usize, round: u64) -> Result<Vec<ApSignal>> {
+        let gain = self.base.uplink_gain(client, round);
+        let budget = self.base.uplink_budget();
+        (0..self.aps.len())
+            .map(|ap| {
+                let d = self.distance_to_ap(client, ap, round)?;
+                Ok(ApSignal {
+                    ap,
+                    distance: d,
+                    rx_power_dbm: 10.0 * budget.rx_power_mw(d, gain).log10(),
+                })
+            })
+            .collect()
+    }
+
+    /// The serving AP of `client` in `round`, memoizing the handoff
+    /// recurrence from round 0.
+    fn association(&self, client: usize, round: u64) -> Result<usize> {
+        if client >= self.base.client_count() {
+            return Err(WirelessError::UnknownClient {
+                client,
+                clients: self.base.client_count(),
+            });
+        }
+        if self.aps.len() == 1 {
+            return Ok(0);
+        }
+        {
+            let cache = self.assoc.read().expect("assoc lock poisoned");
+            if let Some(row) = cache.get(round as usize) {
+                return Ok(row[client]);
+            }
+        }
+        let mut cache = self.assoc.write().expect("assoc lock poisoned");
+        while cache.len() <= round as usize {
+            let r = cache.len() as u64;
+            let prev = if r == 0 {
+                None
+            } else {
+                Some(cache[r as usize - 1].clone())
+            };
+            let mut row = Vec::with_capacity(self.base.client_count());
+            for c in 0..self.base.client_count() {
+                let signals = self.signals(c, r)?;
+                let current = prev.as_ref().map(|p| p[c]);
+                let chosen = self.handoff.choose(c, r, current, &signals);
+                row.push(chosen.min(self.aps.len() - 1));
+            }
+            cache.push(row);
+        }
+        Ok(cache[round as usize][client])
     }
 }
 
-impl DynamicEnvironmentBuilder {
+impl RadioEnvironmentBuilder {
+    /// Places `n` APs on a line along the x axis with `spacing_m` between
+    /// neighbours, centered so a single AP sits exactly at the origin.
+    /// Every AP carries a clone of the base model's edge server.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WirelessError::Config`] for zero APs, a non-finite
+    /// spacing, or a non-positive one with more than one AP.
+    pub fn line(mut self, n: usize, spacing_m: f64) -> Result<Self> {
+        if n == 0 {
+            return Err(WirelessError::Config("need at least one AP".into()));
+        }
+        if !spacing_m.is_finite() || (n > 1 && spacing_m <= 0.0) {
+            return Err(WirelessError::Config(format!(
+                "AP spacing must be finite and > 0, got {spacing_m}"
+            )));
+        }
+        let server = *self.base.server();
+        let center = (n as f64 - 1.0) / 2.0;
+        self.aps = (0..n)
+            .map(|k| AccessPoint {
+                x_m: if n == 1 {
+                    0.0
+                } else {
+                    (k as f64 - center) * spacing_m
+                },
+                y_m: 0.0,
+                server,
+            })
+            .collect();
+        Ok(self)
+    }
+
+    /// Uses an explicit AP layout (positions and per-AP servers).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WirelessError::Config`] for an empty layout.
+    pub fn aps(mut self, aps: Vec<AccessPoint>) -> Result<Self> {
+        if aps.is_empty() {
+            return Err(WirelessError::Config("need at least one AP".into()));
+        }
+        self.aps = aps;
+        Ok(self)
+    }
+
+    /// Sets the handoff policy.
+    pub fn handoff(mut self, p: impl HandoffPolicy + 'static) -> Self {
+        self.handoff = Box::new(p);
+        self
+    }
+
+    /// Sets the handoff policy from a serde-loadable kind.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`HandoffKind::policy`] errors.
+    pub fn handoff_kind(mut self, k: HandoffKind) -> Result<Self> {
+        self.handoff = k.policy()?;
+        Ok(self)
+    }
+
+    /// Prices the AP→aggregator backhaul hop with `link` (every AP gets
+    /// the same link profile). Without this call the backhaul is free.
+    pub fn backhaul(mut self, link: BackhaulLink) -> Self {
+        self.backhaul = Some(link);
+        self
+    }
+
     /// Sets the mobility model.
     pub fn mobility(mut self, m: impl Mobility + 'static) -> Self {
         self.mobility = Box::new(m);
@@ -740,20 +728,11 @@ impl DynamicEnvironmentBuilder {
         self
     }
 
-    /// Enables dropout injection (sugar for the
-    /// [`FaultSpec::dropout_prob`] channel of the unified fault layer).
-    pub fn dropouts(mut self, d: DropoutInjector) -> Self {
-        self.dropouts = Some(d);
-        self
-    }
-
-    /// Enables mid-round fault injection: transfer loss with
-    /// retry/backoff pricing, mid-compute crashes and AP outage windows
-    /// (see [`crate::fault`]). A [`FaultSpec::dropout_prob`] here
-    /// composes with (and is overridden by) an explicit
-    /// [`DynamicEnvironmentBuilder::dropouts`] call.
+    /// Enables seeded fault injection: round-start dropouts, transfer
+    /// loss with retry/backoff pricing, mid-compute crashes and AP outage
+    /// windows (see [`crate::fault`]).
     pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(spec);
+        self.faults = spec;
         self
     }
 
@@ -763,7 +742,8 @@ impl DynamicEnvironmentBuilder {
         self
     }
 
-    /// Seeds the stochastic overlays (spikes, stragglers, dropouts).
+    /// Seeds the stochastic overlays (spikes, stragglers, faults) and the
+    /// client bearings.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -773,73 +753,77 @@ impl DynamicEnvironmentBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`WirelessError::Config`] for out-of-range probabilities
-    /// or fractions.
-    pub fn build(self) -> Result<DynamicEnvironment> {
-        if let BandwidthProfile::Scaled { frac } = self.bandwidth {
-            if !(frac > 0.0 && frac <= 1.0) || frac.is_nan() {
-                return Err(WirelessError::Config(format!(
-                    "scaled bandwidth frac must be in (0,1], got {frac}"
-                )));
+    /// Returns [`WirelessError::Config`] for out-of-range or non-finite
+    /// probabilities, fractions, slowdowns, interference or backhaul
+    /// parameters.
+    pub fn build(self) -> Result<RadioEnvironment> {
+        // `(0, 1]`, which NaN is not in.
+        let unit = |x: f64| x > 0.0 && x <= 1.0;
+        let profile_ok = match self.bandwidth {
+            BandwidthProfile::Constant => true,
+            BandwidthProfile::Scaled { frac } => unit(frac),
+            BandwidthProfile::Diurnal { trough_frac, .. } => unit(trough_frac),
+            BandwidthProfile::Spikes { probability, frac } => {
+                (0.0..=1.0).contains(&probability) && unit(frac)
             }
-        }
-        if let BandwidthProfile::Diurnal { trough_frac, .. } = self.bandwidth {
-            if !(trough_frac > 0.0 && trough_frac <= 1.0) {
-                return Err(WirelessError::Config(format!(
-                    "diurnal trough_frac must be in (0,1], got {trough_frac}"
-                )));
-            }
-        }
-        if let BandwidthProfile::Spikes { probability, frac } = self.bandwidth {
-            if !(0.0..=1.0).contains(&probability) || frac <= 0.0 || frac > 1.0 {
-                return Err(WirelessError::Config(
-                    "spike probability must be in [0,1] and frac in (0,1]".into(),
-                ));
-            }
+        };
+        if !profile_ok {
+            return Err(WirelessError::Config(format!(
+                "bandwidth fractions must be in (0,1] and probabilities in [0,1], got {:?}",
+                self.bandwidth
+            )));
         }
         if let Some(s) = self.stragglers {
-            if !(0.0..=1.0).contains(&s.probability) || s.slowdown < 1.0 {
+            let ok =
+                (0.0..=1.0).contains(&s.probability) && s.slowdown.is_finite() && s.slowdown >= 1.0;
+            if !ok {
                 return Err(WirelessError::Config(
-                    "straggler probability must be in [0,1] and slowdown ≥ 1".into(),
-                ));
-            }
-        }
-        if let Some(d) = self.dropouts {
-            if !(0.0..=1.0).contains(&d.probability) {
-                return Err(WirelessError::Config(
-                    "dropout probability must be in [0,1]".into(),
+                    "straggler probability must be in [0,1] and slowdown finite and ≥ 1".into(),
                 ));
             }
         }
         if let Some(i) = self.interference {
             i.validate()?;
         }
-        // One seeded failure source: an explicit dropout injector folds
-        // into the fault spec's dropout channel (same RNG stream).
-        let mut fault_spec = self.faults.unwrap_or_default();
-        if let Some(d) = self.dropouts {
-            fault_spec.dropout_prob = d.probability;
+        if let Some(b) = self.backhaul {
+            b.validate()?;
         }
+        self.faults.validate()?;
         let seeds = SeedDerive::new(self.seed).child("environment");
-        let faults = if fault_spec.is_noop() {
-            fault_spec.validate()?;
+        let faults = if self.faults.is_noop() {
             None
         } else {
-            Some(FaultInjector::new(fault_spec, seeds)?)
+            Some(FaultInjector::new(self.faults, seeds)?)
         };
-        Ok(DynamicEnvironment {
+        let angles = if self.aps.iter().all(AccessPoint::at_origin) {
+            Vec::new()
+        } else {
+            let bearings = SeedDerive::new(self.seed).child("multi-ap-bearings");
+            (0..self.base.client_count())
+                .map(|c| {
+                    let mut rng = bearings.index(c as u64).rng();
+                    rng.gen::<f64>() * 2.0 * std::f64::consts::PI
+                })
+                .collect()
+        };
+        Ok(RadioEnvironment {
             base: self.base,
+            aps: self.aps,
+            handoff: self.handoff,
+            backhaul: self.backhaul,
             mobility: self.mobility,
             bandwidth: self.bandwidth,
             stragglers: self.stragglers,
             faults,
             interference: self.interference,
             seeds,
+            angles,
+            assoc: RwLock::new(Vec::new()),
         })
     }
 }
 
-impl ChannelModel for DynamicEnvironment {
+impl ChannelModel for RadioEnvironment {
     fn client_count(&self) -> usize {
         self.base.client_count()
     }
@@ -859,21 +843,66 @@ impl ChannelModel for DynamicEnvironment {
     }
 
     fn client_conditions(&self, client: usize, round: u64) -> Result<ClientConditions> {
-        let placed = self.base.distance(client)?;
-        let distance = self.mobility.distance_at(client, placed, round);
-        let base_rate = self.base.device(client)?.rate().as_flops_per_sec();
-        let rate = FlopsRate::new(base_rate / self.straggle_factor(client, round));
-        Ok(radio_conditions(
-            &self.base,
+        let ap = self.association(client, round)?;
+        let distance = self.distance_to_ap(client, ap, round)?;
+        let rate = self.base.device(client)?.rate().as_flops_per_sec();
+        let slowdown = self
+            .stragglers
+            .map_or(1.0, |s| s.slowdown_at(client, round, &self.seeds));
+        let uplink_gain = self.base.uplink_gain(client, round);
+        let downlink_gain = self.base.downlink_gain(client, round);
+        Ok(ClientConditions {
             client,
-            round,
             distance,
-            rate,
-            self.is_available(client, round),
-            0,
-        ))
+            compute_rate: FlopsRate::new(rate / slowdown),
+            uplink_gain,
+            downlink_gain,
+            available: self
+                .faults
+                .as_ref()
+                .is_none_or(|f| f.client_available(client, ap, round)),
+            ap,
+            link: LinkState::Radio {
+                uplink_rx_dbm: self.base.uplink_budget().rx_dbm(distance, uplink_gain),
+                downlink_rx_dbm: self.base.downlink_budget().rx_dbm(distance, downlink_gain),
+            },
+        })
     }
 
+    /// The per-client draw plus, when several APs interfere, every
+    /// client's path to every AP: a transmitter is heard at the APs it
+    /// is not associated with from wherever it currently is.
+    fn conditions(&self, round: u64) -> Result<RoundConditions> {
+        let clients = (0..self.client_count())
+            .map(|c| self.client_conditions(c, round))
+            .collect::<Result<Vec<ClientConditions>>>()?;
+        let mut ap_paths = Vec::new();
+        if self.aps.len() > 1 && self.interference.is_some_and(|s| s.is_active()) {
+            ap_paths.reserve(clients.len() * self.aps.len());
+            for entry in &clients {
+                for ap in 0..self.aps.len() {
+                    let d = self.distance_to_ap(entry.client, ap, round)?;
+                    ap_paths.push(ApPath {
+                        uplink_rx_dbm: self.base.uplink_budget().rx_dbm(d, entry.uplink_gain),
+                        downlink_rx_dbm: self.base.downlink_budget().rx_dbm(d, entry.downlink_gain),
+                    });
+                }
+            }
+        }
+        Ok(RoundConditions {
+            round,
+            bandwidth: self.total_bandwidth(round),
+            clients,
+            ap_paths,
+        })
+    }
+
+    /// The Shannon rate of `client`'s link at `share` from its snapshot
+    /// received power, under the co-channel interference of
+    /// `concurrent`. An uplink hears each concurrent uplink's signal at
+    /// the victim's serving AP; a downlink hears, at the victim, the AP
+    /// serving each concurrent receiver. Each source is summed in
+    /// `concurrent` order and scaled by the reuse factor.
     fn link(
         &self,
         cond: &RoundConditions,
@@ -882,15 +911,35 @@ impl ChannelModel for DynamicEnvironment {
         share: Hertz,
         concurrent: &[usize],
     ) -> Result<Link> {
-        radio_link(
-            &self.base,
-            self.interference,
-            cond,
-            client,
-            dir,
-            share,
-            concurrent,
-        )
+        let entry = cond.client(client)?;
+        let (up_dbm, down_dbm) = entry.radio()?;
+        let mut interference_mw = 0.0;
+        if let Some(spec) = self.interference.filter(InterferenceSpec::is_active) {
+            let mut sum = 0.0f64;
+            let mut heard = false;
+            for &other in concurrent {
+                if other == client {
+                    continue;
+                }
+                let dbm = match dir {
+                    Direction::Uplink => cond.path(other, entry.ap)?.0,
+                    Direction::Downlink => cond.path(client, cond.client(other)?.ap)?.1,
+                };
+                sum += 10f64.powf(dbm / 10.0);
+                heard = true;
+            }
+            if heard {
+                interference_mw = sum * spec.reuse_factor;
+            }
+        }
+        let (budget, rx_dbm) = match dir {
+            Direction::Uplink => (self.base.uplink_budget(), up_dbm),
+            Direction::Downlink => (self.base.downlink_budget(), down_dbm),
+        };
+        Ok(Link {
+            rate_bps: budget.rate_bps_at(rx_dbm, share, interference_mw),
+            latency_s: 0.0,
+        })
     }
 
     fn server_compute(&self, flops: u64) -> Seconds {
@@ -899,9 +948,9 @@ impl ChannelModel for DynamicEnvironment {
 
     fn is_available(&self, client: usize, round: u64) -> bool {
         match &self.faults {
-            // Single-AP environment: every client hangs off AP 0, so an
-            // AP outage takes the whole cell dark.
-            Some(f) => f.client_available(client, 0, round),
+            Some(f) => self
+                .association(client, round)
+                .is_ok_and(|ap| f.client_available(client, ap, round)),
             None => true,
         }
     }
@@ -918,6 +967,30 @@ impl ChannelModel for DynamicEnvironment {
             .as_ref()
             .and_then(|f| f.crash_point(client, round))
     }
+
+    fn ap_count(&self) -> usize {
+        self.aps.len()
+    }
+
+    fn ap_of(&self, client: usize, round: u64) -> Result<usize> {
+        self.association(client, round)
+    }
+
+    fn server_at(&self, ap: usize) -> &EdgeServer {
+        &self.aps[ap.min(self.aps.len() - 1)].server
+    }
+
+    fn server_compute_at(&self, ap: usize, flops: u64) -> Seconds {
+        self.server_at(ap).compute_time(flops)
+    }
+
+    fn backhaul(&self, ap: usize) -> Option<BackhaulLink> {
+        if ap < self.aps.len() {
+            self.backhaul
+        } else {
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -931,6 +1004,11 @@ mod tests {
             .seed(5)
             .build()
             .unwrap()
+    }
+
+    /// The paper's cell over `base(clients)`: no overlays.
+    fn cell(clients: usize) -> RadioEnvironment {
+        RadioEnvironment::builder(base(clients)).build().unwrap()
     }
 
     /// Time to move `payload` in `dir` over `share` in `round`, against
@@ -954,29 +1032,41 @@ mod tests {
     #[test]
     fn static_environment_matches_model_exactly() {
         let model = base(4);
-        let env = StaticEnvironment::new(model.clone());
+        let env = cell(4);
         let payload = Bytes::new(200_000);
         let share = Hertz::from_mhz(1.0);
         for round in 0..8u64 {
             let cond = env.conditions(round).unwrap();
             for c in 0..4 {
+                let d = model.distance(c).unwrap();
+                let (up_gain, down_gain) =
+                    (model.uplink_gain(c, round), model.downlink_gain(c, round));
                 let up = env.link(&cond, c, Direction::Uplink, share, &[]).unwrap();
                 let down = env.link(&cond, c, Direction::Downlink, share, &[]).unwrap();
                 assert_eq!(
                     up.time(payload).unwrap(),
-                    model.uplink_time_with(c, payload, round, share).unwrap()
+                    model
+                        .uplink_budget()
+                        .transmit_time(payload, d, share, up_gain)
+                        .unwrap()
                 );
                 assert_eq!(
                     down.time(payload).unwrap(),
-                    model.downlink_time_with(c, payload, round, share).unwrap()
+                    model
+                        .downlink_budget()
+                        .transmit_time(payload, d, share, down_gain)
+                        .unwrap()
                 );
-                assert_eq!(up.rate_bps, model.uplink_rate_bps(c, round, share).unwrap());
+                assert_eq!(
+                    up.rate_bps,
+                    model.uplink_budget().rate_bps(d, share, up_gain)
+                );
                 assert_eq!(
                     cond.clients[c].compute_time(1_000_000),
-                    model.client_compute(c, 1_000_000).unwrap()
+                    model.device(c).unwrap().compute_time(1_000_000)
                 );
-                assert_eq!(cond.clients[c].uplink_gain, model.uplink_gain(c, round));
-                assert_eq!(cond.clients[c].downlink_gain, model.downlink_gain(c, round));
+                assert_eq!(cond.clients[c].uplink_gain, up_gain);
+                assert_eq!(cond.clients[c].downlink_gain, down_gain);
                 assert!(cond.clients[c].available);
             }
             assert_eq!(cond.bandwidth, model.total_bandwidth());
@@ -989,7 +1079,7 @@ mod tests {
 
     #[test]
     fn empty_payload_is_free_and_zero_share_fails() {
-        let env = StaticEnvironment::new(base(2));
+        let env = cell(2);
         let cond = env.conditions(0).unwrap();
         let dead = env
             .link(&cond, 0, Direction::Uplink, Hertz::new(0.0), &[])
@@ -999,21 +1089,8 @@ mod tests {
     }
 
     #[test]
-    fn no_overlay_dynamic_matches_static() {
-        let model = base(3);
-        let dynamic = DynamicEnvironment::builder(model.clone()).build().unwrap();
-        let env = StaticEnvironment::new(model);
-        for round in 0..5u64 {
-            assert_eq!(
-                dynamic.conditions(round).unwrap(),
-                env.conditions(round).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn mobility_changes_distances_and_times() {
-        let env = DynamicEnvironment::builder(base(2))
+        let env = RadioEnvironment::builder(base(2))
             .mobility(OrbitDrift {
                 amplitude_frac: 0.5,
                 period_rounds: 7,
@@ -1027,7 +1104,7 @@ mod tests {
 
     #[test]
     fn diurnal_bandwidth_cycles() {
-        let env = DynamicEnvironment::builder(base(2))
+        let env = RadioEnvironment::builder(base(2))
             .bandwidth(BandwidthProfile::Diurnal {
                 period_rounds: 10,
                 trough_frac: 0.25,
@@ -1042,7 +1119,7 @@ mod tests {
 
     #[test]
     fn stragglers_slow_compute_deterministically() {
-        let env = DynamicEnvironment::builder(base(2))
+        let env = RadioEnvironment::builder(base(2))
             .stragglers(StragglerInjector {
                 probability: 1.0,
                 slowdown: 4.0,
@@ -1050,12 +1127,11 @@ mod tests {
             .seed(9)
             .build()
             .unwrap();
-        let plain = StaticEnvironment::new(base(2));
         let slow = env
             .client_conditions(0, 3)
             .unwrap()
             .compute_time(1_000_000_000);
-        let fast = plain
+        let fast = cell(2)
             .client_conditions(0, 3)
             .unwrap()
             .compute_time(1_000_000_000);
@@ -1068,8 +1144,11 @@ mod tests {
 
     #[test]
     fn dropouts_are_deterministic_and_partial() {
-        let env = DynamicEnvironment::builder(base(4))
-            .dropouts(DropoutInjector { probability: 0.5 })
+        let env = RadioEnvironment::builder(base(4))
+            .faults(FaultSpec {
+                dropout_prob: 0.5,
+                ..FaultSpec::default()
+            })
             .seed(1)
             .build()
             .unwrap();
@@ -1093,7 +1172,7 @@ mod tests {
 
     #[test]
     fn conditions_snapshot_reflects_overlays() {
-        let env = DynamicEnvironment::builder(base(3))
+        let env = RadioEnvironment::builder(base(3))
             .bandwidth(BandwidthProfile::Diurnal {
                 period_rounds: 8,
                 trough_frac: 0.5,
@@ -1119,49 +1198,48 @@ mod tests {
 
     #[test]
     fn builder_validation() {
-        assert!(DynamicEnvironment::builder(base(1))
-            .stragglers(StragglerInjector {
-                probability: 1.5,
-                slowdown: 2.0
+        let rejects = |b: RadioEnvironmentBuilder| b.build().is_err();
+        let straggle = |probability, slowdown| {
+            RadioEnvironment::builder(base(1)).stragglers(StragglerInjector {
+                probability,
+                slowdown,
             })
-            .build()
-            .is_err());
-        assert!(DynamicEnvironment::builder(base(1))
-            .stragglers(StragglerInjector {
-                probability: 0.5,
-                slowdown: 0.5
-            })
-            .build()
-            .is_err());
-        assert!(DynamicEnvironment::builder(base(1))
-            .dropouts(DropoutInjector { probability: -0.1 })
-            .build()
-            .is_err());
-        assert!(DynamicEnvironment::builder(base(1))
-            .bandwidth(BandwidthProfile::Diurnal {
-                period_rounds: 5,
-                trough_frac: 0.0
-            })
-            .build()
-            .is_err());
-        assert!(DynamicEnvironment::builder(base(1))
-            .bandwidth(BandwidthProfile::Spikes {
-                probability: 2.0,
-                frac: 0.5
-            })
-            .build()
-            .is_err());
+        };
+        assert!(rejects(straggle(1.5, 2.0)));
+        assert!(rejects(straggle(0.5, 0.5)));
+        assert!(rejects(straggle(0.5, f64::NAN)));
+        assert!(rejects(straggle(0.5, f64::INFINITY)));
+        assert!(rejects(RadioEnvironment::builder(base(1)).faults(
+            FaultSpec {
+                dropout_prob: -0.1,
+                ..FaultSpec::default()
+            }
+        )));
+        let profile = |b| RadioEnvironment::builder(base(1)).bandwidth(b);
+        assert!(rejects(profile(BandwidthProfile::Diurnal {
+            period_rounds: 5,
+            trough_frac: 0.0
+        })));
+        assert!(rejects(profile(BandwidthProfile::Scaled {
+            frac: f64::NAN
+        })));
+        for (probability, frac) in [(2.0, 0.5), (1.0, f64::NAN), (1.0, f64::INFINITY)] {
+            assert!(rejects(profile(BandwidthProfile::Spikes {
+                probability,
+                frac
+            })));
+        }
     }
 
     #[test]
     fn interference_free_link_is_bitwise_plain_link() {
         // Even *with* a spec, an empty interferer set must reproduce the
         // plain SNR uplink time bit for bit (the golden-fixture guard).
-        let model = base(3);
-        let plain = StaticEnvironment::new(model.clone());
+        let plain = cell(3);
         let spec = InterferenceSpec { reuse_factor: 0.7 };
-        let noisy = StaticEnvironment::new(model)
-            .with_interference(spec)
+        let noisy = RadioEnvironment::builder(base(3))
+            .interference(spec)
+            .build()
             .unwrap();
         let payload = Bytes::new(120_000);
         let share = Hertz::from_mhz(1.5);
@@ -1179,8 +1257,9 @@ mod tests {
 
     #[test]
     fn concurrent_transmitters_slow_the_link() {
-        let env = StaticEnvironment::new(base(4))
-            .with_interference(InterferenceSpec { reuse_factor: 0.5 })
+        let env = RadioEnvironment::builder(base(4))
+            .interference(InterferenceSpec { reuse_factor: 0.5 })
+            .build()
             .unwrap();
         let payload = Bytes::new(200_000);
         let share = Hertz::from_mhz(1.0);
@@ -1198,7 +1277,7 @@ mod tests {
     #[test]
     fn dynamic_interference_follows_mobility() {
         let spec = InterferenceSpec { reuse_factor: 1.0 };
-        let env = DynamicEnvironment::builder(base(2))
+        let env = RadioEnvironment::builder(base(2))
             .mobility(OrbitDrift {
                 amplitude_frac: 0.5,
                 period_rounds: 7,
@@ -1213,7 +1292,7 @@ mod tests {
         assert!(a > alone, "the spec must reach the link");
         let b = time(&env, 0, Direction::Uplink, payload, 3, share, &[1]);
         assert_ne!(a, b, "mobility must move the interferer too");
-        assert!(DynamicEnvironment::builder(base(1))
+        assert!(RadioEnvironment::builder(base(1))
             .interference(InterferenceSpec { reuse_factor: 2.0 })
             .build()
             .is_err());
@@ -1221,7 +1300,7 @@ mod tests {
 
     #[test]
     fn single_ap_defaults_through_trait() {
-        let env = StaticEnvironment::new(base(2));
+        let env = cell(2);
         assert_eq!(env.ap_count(), 1);
         assert_eq!(env.ap_of(1, 5).unwrap(), 0);
         assert!(env.ap_of(9, 0).is_err());
@@ -1230,6 +1309,7 @@ mod tests {
             env.server_compute_at(0, 1_000_000),
             env.server_compute(1_000_000)
         );
+        assert!(env.backhaul(0).is_none());
         let cond = env.conditions(0).unwrap();
         assert!(cond.clients.iter().all(|c| c.ap == 0));
         assert!(cond.ap_paths.is_empty());
@@ -1237,7 +1317,7 @@ mod tests {
 
     #[test]
     fn unknown_client_errors_through_trait() {
-        let env = StaticEnvironment::new(base(2));
+        let env = cell(2);
         assert!(env.distance(9, 0).is_err());
         assert!(env.device_rate(9, 0).is_err());
         assert!(env.client_conditions(9, 0).is_err());

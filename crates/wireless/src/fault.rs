@@ -17,10 +17,9 @@
 //! * **AP outages** — APs go dark for contiguous round windows
 //!   ([`ApOutageSpec`]); clients associated with an offline AP are
 //!   unreachable that round.
-//! * **Round-start dropouts** — the historical `DropoutInjector`
-//!   behavior, folded in as [`FaultSpec::dropout_prob`] on the *exact*
-//!   same derived RNG stream, so existing `dropouts` presets stay
-//!   bitwise identical.
+//! * **Round-start dropouts** — with probability
+//!   [`FaultSpec::dropout_prob`] a client is unreachable for a whole
+//!   round (deep shadowing, cell reselection, battery saver).
 //!
 //! Every draw is a pure function of (environment seed, client, round,
 //! transfer index) through [`SeedDerive`] — never of host thread count
@@ -128,8 +127,7 @@ pub struct FaultSpec {
     /// Per-client-round mid-compute crash probability, in `[0, 1]`.
     #[serde(default)]
     pub crash_prob: f64,
-    /// Per-client-round round-start dropout probability, in `[0, 1]`
-    /// (the unified `DropoutInjector` channel — same RNG stream).
+    /// Per-client-round round-start dropout probability, in `[0, 1]`.
     #[serde(default)]
     pub dropout_prob: f64,
     /// Optional per-AP outage windows.
@@ -239,8 +237,7 @@ impl TransferOutcome {
 
 /// Seeded fault injector: the single source of every failure draw in an
 /// environment. Construct through a [`FaultSpec`] and the environment's
-/// [`SeedDerive`] root (so the dropout channel reproduces the historical
-/// `DropoutInjector` stream exactly).
+/// [`SeedDerive`] root.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjector {
     spec: FaultSpec,
@@ -264,8 +261,7 @@ impl FaultInjector {
     }
 
     /// Round-start dropout: whether `client`'s radio is unreachable in
-    /// `round`. Bitwise identical to the historical
-    /// `DropoutInjector::dropped` stream (`child("dropouts")`).
+    /// `round`, drawn from the `child("dropouts")` stream.
     pub fn dropped(&self, client: usize, round: u64) -> bool {
         if self.spec.dropout_prob <= 0.0 {
             return false;
@@ -387,10 +383,10 @@ mod tests {
     }
 
     #[test]
-    fn dropout_stream_matches_historical_injector() {
-        // The unified dropout channel must replay the exact
-        // `child("dropouts").index(client).index(round)` stream the old
-        // DropoutInjector used.
+    fn dropout_stream_is_pinned() {
+        // The dropout channel replays the exact
+        // `child("dropouts").index(client).index(round)` stream the
+        // `dropouts` presets were pinned with.
         let seeds = SeedDerive::new(11).child("environment");
         let f = FaultInjector::new(
             FaultSpec {

@@ -1,20 +1,11 @@
 //! The composed latency model.
 //!
 //! [`LatencyModel`] ties topology, link budgets, fading, device profiles
-//! and the edge server into the quantities the training schemes charge
-//! time for:
-//!
-//! * `uplink_time(client, bytes, round)` — client → AP transmission,
-//! * `downlink_time(client, bytes, round)` — AP → client transmission,
-//! * `client_compute(client, flops)` — on-device computation,
-//! * `server_compute(flops)` — one server slot's computation.
-//!
-//! Fading is block-constant per round; bandwidth defaults to the full
-//! channel (sequential protocols) and can be overridden per call with an
-//! allocated share (concurrent protocols). The environments in
-//! [`crate::environment`] price rounds from this model's budgets and
-//! fading streams through a per-round snapshot instead of these
-//! per-transfer queries.
+//! and the edge server into one experiment's network: each client's
+//! placement distance, device and per-round fading gains (block-constant
+//! per round), the two link budgets, the total bandwidth and the server.
+//! The environments in [`crate::environment`] price rounds from these
+//! through a per-round snapshot.
 
 use crate::device::{DeviceHeterogeneity, DeviceProfile};
 use crate::energy::PowerProfile;
@@ -22,7 +13,7 @@ use crate::fading::BlockFading;
 use crate::link::LinkBudget;
 use crate::server::EdgeServer;
 use crate::topology::Topology;
-use crate::units::{Bytes, Hertz, Meters, Seconds};
+use crate::units::{Hertz, Meters, Seconds};
 use crate::{Result, WirelessError};
 
 /// Composed wireless + compute latency model for one experiment.
@@ -121,89 +112,14 @@ impl LatencyModel {
         self.topology.distance(client)
     }
 
-    /// Uplink transmission time using the **full** channel bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    pub fn uplink_time(&self, client: usize, payload: Bytes, round: u64) -> Result<Seconds> {
-        self.uplink_time_with(client, payload, round, self.total_bandwidth)
-    }
-
-    /// Uplink transmission time over an allocated bandwidth share.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] / [`WirelessError::Config`]
-    /// on bad indices or zero share.
-    pub fn uplink_time_with(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds> {
-        let d = self.topology.distance(client)?;
-        self.uplink
-            .transmit_time(payload, d, share, self.uplink_gain(client, round))
-    }
-
     /// The uplink link budget (shared by all clients).
     pub fn uplink_budget(&self) -> &LinkBudget {
         &self.uplink
     }
 
-    /// Downlink transmission time using the full channel bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    pub fn downlink_time(&self, client: usize, payload: Bytes, round: u64) -> Result<Seconds> {
-        self.downlink_time_with(client, payload, round, self.total_bandwidth)
-    }
-
-    /// Downlink transmission time over an allocated bandwidth share.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] / [`WirelessError::Config`]
-    /// on bad indices or zero share.
-    pub fn downlink_time_with(
-        &self,
-        client: usize,
-        payload: Bytes,
-        round: u64,
-        share: Hertz,
-    ) -> Result<Seconds> {
-        let d = self.topology.distance(client)?;
-        self.downlink
-            .transmit_time(payload, d, share, self.downlink_gain(client, round))
-    }
-
     /// The downlink link budget (shared by all clients).
     pub fn downlink_budget(&self) -> &LinkBudget {
         &self.downlink
-    }
-
-    /// Achievable uplink rate in bits/s over `share` bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    pub fn uplink_rate_bps(&self, client: usize, round: u64, share: Hertz) -> Result<f64> {
-        let d = self.topology.distance(client)?;
-        Ok(self
-            .uplink
-            .rate_bps(d, share, self.uplink_gain(client, round)))
-    }
-
-    /// On-device compute time for `client`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::UnknownClient`] for bad indices.
-    pub fn client_compute(&self, client: usize, flops: u64) -> Result<Seconds> {
-        Ok(self.device(client)?.compute_time(flops))
     }
 
     /// Compute time of one edge-server slot.
@@ -313,15 +229,19 @@ impl LatencyModelBuilder {
     /// # Errors
     ///
     /// Returns [`WirelessError::Config`] for zero clients, invalid budgets,
-    /// or mismatched fixed distances/devices.
+    /// a non-positive or non-finite bandwidth, or mismatched fixed
+    /// distances/devices.
     pub fn build(&self) -> Result<LatencyModel> {
         if self.clients == 0 {
             return Err(WirelessError::Config("need at least one client".into()));
         }
         self.uplink.validate()?;
         self.downlink.validate()?;
-        if self.total_bandwidth.as_hz() <= 0.0 {
-            return Err(WirelessError::Config("bandwidth must be > 0".into()));
+        let bw = self.total_bandwidth.as_hz();
+        if !(bw.is_finite() && bw > 0.0) {
+            return Err(WirelessError::Config(format!(
+                "bandwidth must be finite and > 0, got {bw} Hz"
+            )));
         }
         let topology = match &self.fixed_distances {
             Some(d) => {
@@ -372,17 +292,31 @@ impl LatencyModelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::FlopsRate;
+    use crate::units::{Bytes, FlopsRate};
 
     fn model() -> LatencyModel {
         LatencyModel::builder().clients(4).seed(3).build().unwrap()
     }
 
+    /// `client`'s uplink time for `payload` over `share` in `round`,
+    /// priced from the link budget at its distance and fading gain.
+    fn uplink(m: &LatencyModel, client: usize, payload: u64, round: u64, share: Hertz) -> Seconds {
+        m.uplink_budget()
+            .transmit_time(
+                Bytes::new(payload),
+                m.distance(client).unwrap(),
+                share,
+                m.uplink_gain(client, round),
+            )
+            .unwrap()
+    }
+
     #[test]
     fn uplink_time_positive_and_deterministic() {
         let m = model();
-        let t1 = m.uplink_time(0, Bytes::new(100_000), 2).unwrap();
-        let t2 = m.uplink_time(0, Bytes::new(100_000), 2).unwrap();
+        let bw = m.total_bandwidth();
+        let t1 = uplink(&m, 0, 100_000, 2, bw);
+        let t2 = uplink(&m, 0, 100_000, 2, bw);
         assert_eq!(t1, t2);
         assert!(t1.as_secs_f64() > 0.0);
     }
@@ -390,9 +324,10 @@ mod tests {
     #[test]
     fn fading_varies_per_round() {
         let m = model();
-        let t1 = m.uplink_time(0, Bytes::new(100_000), 0).unwrap();
-        let t2 = m.uplink_time(0, Bytes::new(100_000), 1).unwrap();
-        assert_ne!(t1, t2);
+        assert_ne!(m.uplink_gain(0, 0), m.uplink_gain(0, 1));
+        assert_ne!(m.uplink_gain(0, 0), m.downlink_gain(0, 0));
+        let bw = m.total_bandwidth();
+        assert_ne!(uplink(&m, 0, 100_000, 0, bw), uplink(&m, 0, 100_000, 1, bw));
     }
 
     #[test]
@@ -402,9 +337,8 @@ mod tests {
             .fading(false)
             .build()
             .unwrap();
-        let t1 = m.uplink_time(0, Bytes::new(1000), 0).unwrap();
-        let t2 = m.uplink_time(0, Bytes::new(1000), 99).unwrap();
-        assert_eq!(t1, t2);
+        let bw = m.total_bandwidth();
+        assert_eq!(uplink(&m, 0, 1000, 0, bw), uplink(&m, 0, 1000, 99, bw));
     }
 
     #[test]
@@ -414,12 +348,8 @@ mod tests {
             .fading(false)
             .build()
             .unwrap();
-        let full = m
-            .uplink_time_with(0, Bytes::new(1 << 20), 0, Hertz::from_mhz(5.0))
-            .unwrap();
-        let fifth = m
-            .uplink_time_with(0, Bytes::new(1 << 20), 0, Hertz::from_mhz(1.0))
-            .unwrap();
+        let full = uplink(&m, 0, 1 << 20, 0, Hertz::from_mhz(5.0));
+        let fifth = uplink(&m, 0, 1 << 20, 0, Hertz::from_mhz(1.0));
         assert!(fifth.as_secs_f64() > full.as_secs_f64());
     }
 
@@ -432,8 +362,17 @@ mod tests {
             .fixed_distances(vec![Meters::new(100.0)])
             .build()
             .unwrap();
-        let up = m.uplink_time(0, Bytes::new(1 << 20), 0).unwrap();
-        let down = m.downlink_time(0, Bytes::new(1 << 20), 0).unwrap();
+        let bw = m.total_bandwidth();
+        let up = uplink(&m, 0, 1 << 20, 0, bw);
+        let down = m
+            .downlink_budget()
+            .transmit_time(
+                Bytes::new(1 << 20),
+                Meters::new(100.0),
+                bw,
+                m.downlink_gain(0, 0),
+            )
+            .unwrap();
         assert!(down.as_secs_f64() < up.as_secs_f64());
     }
 
@@ -446,15 +385,15 @@ mod tests {
             ])
             .build()
             .unwrap();
-        assert!((m.client_compute(0, 1_000_000_000).unwrap().as_secs_f64() - 1.0).abs() < 1e-9);
+        let t = m.device(0).unwrap().compute_time(1_000_000_000);
+        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
         assert!(m.server_compute(1_000_000_000).as_secs_f64() < 1.0); // server faster
     }
 
     #[test]
     fn unknown_client_errors() {
         let m = model();
-        assert!(m.uplink_time(9, Bytes::new(10), 0).is_err());
-        assert!(m.client_compute(9, 10).is_err());
+        assert!(m.distance(9).is_err());
         assert!(m.device(9).is_err());
     }
 
@@ -466,10 +405,12 @@ mod tests {
             .fixed_distances(vec![Meters::new(5.0)])
             .build()
             .is_err());
-        assert!(LatencyModel::builder()
-            .clients(1)
-            .bandwidth(Hertz::new(0.0))
-            .build()
-            .is_err());
+        for hz in [0.0, f64::NAN, f64::INFINITY] {
+            assert!(LatencyModel::builder()
+                .clients(1)
+                .bandwidth(Hertz::new(hz))
+                .build()
+                .is_err());
+        }
     }
 }

@@ -21,19 +21,22 @@
 //! * [`device`] — heterogeneous client compute profiles,
 //! * [`server`] — the edge-server compute profile (rate + parallel slots),
 //! * [`topology`] — client placement around the AP,
-//! * [`latency`] — the composed latency model: transmission and
-//!   computation times for arbitrary payloads and FLOP counts,
+//! * [`latency`] — the composed latency model: topology, link budgets,
+//!   fading streams, device fleet and edge server for one experiment,
 //! * [`environment`] — the pluggable [`ChannelModel`] trait: each round
 //!   is drawn once into a [`RoundConditions`] snapshot and links are
-//!   priced over it; static and time-varying implementations (mobility
-//!   drift, diurnal bandwidth, stragglers, dropouts),
+//!   priced over it; [`RadioEnvironment`] is the one analytic
+//!   implementation, from the paper's static cell up to time-varying
+//!   overlays (mobility drift, bandwidth profiles, stragglers, faults,
+//!   interference) and several APs,
 //! * [`fault`] — seeded mid-round fault injection (transfer loss with
 //!   retry/backoff pricing, mid-compute crashes, AP outage windows,
 //!   round-start dropouts) behind [`fault::FaultInjector`],
 //! * [`mobility`] — client mobility models behind the
 //!   [`mobility::Mobility`] trait,
-//! * [`multi_ap`] — several APs / edge servers with mobility-driven
-//!   re-association behind a [`multi_ap::HandoffPolicy`] trait,
+//! * [`multi_ap`] — the AP layout of a [`RadioEnvironment`] and the
+//!   [`multi_ap::HandoffPolicy`] trait behind mobility-driven
+//!   re-association,
 //! * [`trace`] — trace-driven channels: serde-loaded per-client
 //!   bandwidth/RTT/availability time series replayed as a
 //!   [`ChannelModel`] (hold/interpolate resampling, bundled
@@ -44,13 +47,18 @@
 //! # Example
 //!
 //! ```
+//! use gsfl_wireless::environment::{ChannelModel, Direction, RadioEnvironment};
 //! use gsfl_wireless::latency::LatencyModel;
 //! use gsfl_wireless::units::Bytes;
 //!
 //! # fn main() -> Result<(), gsfl_wireless::WirelessError> {
 //! let model = LatencyModel::builder().clients(4).seed(7).build()?;
-//! // Uplink time for 1 MiB of smashed data from client 0 in round 0.
-//! let t = model.uplink_time(0, Bytes::new(1 << 20), 0)?;
+//! let env = RadioEnvironment::builder(model).build()?;
+//! // Uplink time for 1 MiB of smashed data from client 0 in round 0,
+//! // over the whole band.
+//! let round = env.conditions(0)?;
+//! let link = env.link(&round, 0, Direction::Uplink, round.bandwidth, &[])?;
+//! let t = link.time(Bytes::new(1 << 20))?;
 //! assert!(t.as_secs_f64() > 0.0);
 //! # Ok(())
 //! # }
@@ -81,11 +89,10 @@ pub mod trace;
 pub mod units;
 
 pub use backhaul::BackhaulLink;
-pub use environment::{ChannelModel, Direction, Link, RoundConditions};
+pub use environment::{ChannelModel, Direction, Link, RadioEnvironment, RoundConditions};
 pub use error::WirelessError;
 pub use fault::{FaultInjector, FaultSpec, RetryPolicy, TransferOutcome};
 pub use interference::InterferenceSpec;
-pub use multi_ap::MultiApEnvironment;
 pub use scenario::Scenario;
 pub use trace::{ChannelTrace, TraceEnvironment};
 

@@ -1,26 +1,25 @@
 //! Serde-loadable wireless scenarios.
 //!
-//! A [`Scenario`] names a wireless environment shape — static, or one of
-//! the time-varying overlays from [`crate::environment`] — with its
-//! parameters, serializes cleanly inside experiment configs, and builds
-//! the matching [`ChannelModel`] over any base [`LatencyModel`].
+//! A [`Scenario`] names a wireless environment shape — the static cell,
+//! one or more overlays from [`crate::environment`], several APs, or a
+//! replayed trace — with its parameters, serializes cleanly inside
+//! experiment configs, and builds the matching [`ChannelModel`] over any
+//! base [`LatencyModel`]. Every preset but `trace_replay` is one
+//! [`RadioEnvironment`] builder chain.
 //!
-//! [`Scenario::presets`] lists the ready-made presets the scenario-sweep
-//! tooling iterates: `static`, `mobility`, `diurnal`, `congested`,
-//! `stragglers`, `dropouts`, `interference`, `multi_ap`, `hierarchical`,
-//! `adaptive_cut`, `trace_replay`, `orchestrated`, `composite`,
-//! `lossy_uplink`, `chaos`.
+//! [`Scenario::presets`] lists the 17 ready-made presets the
+//! scenario-sweep tooling iterates: `static`, `mobility`, `diurnal`,
+//! `congested`, `stragglers`, `dropouts`, `interference`, `narrowband`,
+//! `crowded_cell`, `multi_ap`, `hierarchical`, `adaptive_cut`,
+//! `trace_replay`, `orchestrated`, `composite`, `lossy_uplink`, `chaos`.
 
 use crate::backhaul::BackhaulLink;
-use crate::environment::{
-    BandwidthProfile, ChannelModel, DropoutInjector, DynamicEnvironment, StaticEnvironment,
-    StragglerInjector,
-};
+use crate::environment::{BandwidthProfile, ChannelModel, RadioEnvironment, StragglerInjector};
 use crate::fault::{ApOutageSpec, FaultSpec, RetryPolicy};
 use crate::interference::InterferenceSpec;
 use crate::latency::LatencyModel;
 use crate::mobility::RandomWaypoint;
-use crate::multi_ap::{HandoffKind, MultiApEnvironment};
+use crate::multi_ap::HandoffKind;
 use crate::trace::{ChannelTrace, Resample, TraceEnvironment};
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -110,6 +109,43 @@ pub struct DropoutSpec {
 impl Default for DropoutSpec {
     fn default() -> Self {
         DropoutSpec { probability: 0.2 }
+    }
+}
+
+impl From<DiurnalSpec> for BandwidthProfile {
+    fn from(d: DiurnalSpec) -> Self {
+        BandwidthProfile::Diurnal {
+            period_rounds: d.period_rounds,
+            trough_frac: d.trough_frac,
+        }
+    }
+}
+
+impl From<CongestionSpec> for BandwidthProfile {
+    fn from(c: CongestionSpec) -> Self {
+        BandwidthProfile::Spikes {
+            probability: c.probability,
+            frac: c.frac,
+        }
+    }
+}
+
+impl From<StragglerSpec> for StragglerInjector {
+    fn from(s: StragglerSpec) -> Self {
+        StragglerInjector {
+            probability: s.probability,
+            slowdown: s.slowdown,
+        }
+    }
+}
+
+/// Dropouts are the fault layer's round-start channel.
+impl From<DropoutSpec> for FaultSpec {
+    fn from(d: DropoutSpec) -> Self {
+        FaultSpec {
+            dropout_prob: d.probability,
+            ..FaultSpec::default()
+        }
     }
 }
 
@@ -484,134 +520,64 @@ impl Scenario {
         Scenario::presets().into_iter().find(|s| s.name() == name)
     }
 
-    /// Builds the environment this scenario describes over a base model.
-    /// `seed` drives the stochastic overlays (waypoints, spikes,
-    /// stragglers, dropouts).
+    /// Builds the environment this scenario describes over a base model:
+    /// `trace_replay` replays the bundled trace, and every other preset is
+    /// one [`RadioEnvironment`] builder chain. `seed` drives the
+    /// stochastic overlays (waypoints, bearings, spikes, stragglers,
+    /// faults).
     ///
     /// # Errors
     ///
-    /// Returns [`crate::WirelessError::Config`] for out-of-range
-    /// parameters.
+    /// Returns [`crate::WirelessError::Config`] for out-of-range or
+    /// non-finite parameters.
     pub fn build(&self, base: LatencyModel, seed: u64) -> Result<Box<dyn ChannelModel>> {
-        match *self {
-            Scenario::Static => Ok(Box::new(StaticEnvironment::new(base))),
-            Scenario::Mobility(m) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .mobility(waypoints(m, seed)?)
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::Diurnal(d) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .bandwidth(BandwidthProfile::Diurnal {
-                        period_rounds: d.period_rounds,
-                        trough_frac: d.trough_frac,
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::Congested(c) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .bandwidth(BandwidthProfile::Spikes {
-                        probability: c.probability,
-                        frac: c.frac,
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::Stragglers(s) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .stragglers(StragglerInjector {
-                        probability: s.probability,
-                        slowdown: s.slowdown,
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::Dropouts(d) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .dropouts(DropoutInjector {
-                        probability: d.probability,
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::Interference(spec) => Ok(Box::new(
-                StaticEnvironment::new(base).with_interference(spec)?,
-            )),
-            Scenario::Narrowband(n) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .bandwidth(BandwidthProfile::Scaled { frac: n.frac })
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::CrowdedCell(c) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .bandwidth(BandwidthProfile::Scaled { frac: c.frac })
-                    .interference(c.interference)
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::MultiAp(m) | Scenario::Hierarchical(m) => {
-                let mut b = MultiApEnvironment::builder(base)
-                    .line(m.aps, m.spacing_m)?
-                    .handoff_kind(m.handoff)
-                    .seed(seed);
-                if let Some(spec) = m.mobility {
-                    b = b.mobility(waypoints(spec, seed)?);
-                }
-                // Validate the reuse factor even when inactive, so a
-                // typo'd negative/NaN value fails loudly instead of
-                // silently disabling interference.
-                let spec = InterferenceSpec {
-                    reuse_factor: m.reuse_factor,
-                };
-                spec.validate()?;
-                if spec.is_active() {
-                    b = b.interference(spec);
-                }
-                if let Some(link) = m.backhaul {
-                    b = b.backhaul(link);
-                }
-                Ok(Box::new(b.build()?))
-            }
-            Scenario::AdaptiveCut(a) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .bandwidth(BandwidthProfile::Diurnal {
-                        period_rounds: a.diurnal.period_rounds,
-                        trough_frac: a.diurnal.trough_frac,
-                    })
-                    .interference(a.interference)
-                    .stragglers(StragglerInjector {
-                        probability: a.stragglers.probability,
-                        slowdown: a.stragglers.slowdown,
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::TraceReplay(t) => Ok(Box::new(TraceEnvironment::new(
+        if let Scenario::TraceReplay(t) = *self {
+            return Ok(Box::new(TraceEnvironment::new(
                 base,
                 ChannelTrace::diurnal_cellular(),
                 t.resample,
                 t.round_s,
-            )?)),
-            Scenario::Orchestrated(o) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .bandwidth(BandwidthProfile::Diurnal {
-                        period_rounds: o.diurnal.period_rounds,
-                        trough_frac: o.diurnal.trough_frac,
-                    })
-                    .interference(o.interference)
-                    .stragglers(StragglerInjector {
-                        probability: o.stragglers.probability,
-                        slowdown: o.stragglers.slowdown,
-                    })
-                    .dropouts(DropoutInjector {
-                        probability: o.dropouts.probability,
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
+            )?));
+        }
+        let radio = RadioEnvironment::builder(base).seed(seed);
+        let radio = match *self {
+            // `TraceReplay` returned above.
+            Scenario::Static | Scenario::TraceReplay(_) => radio,
+            Scenario::Mobility(m) => radio.mobility(waypoints(m, seed)?),
+            Scenario::Diurnal(d) => radio.bandwidth(d.into()),
+            Scenario::Congested(c) => radio.bandwidth(c.into()),
+            Scenario::Stragglers(s) => radio.stragglers(s.into()),
+            Scenario::Dropouts(d) => radio.faults(d.into()),
+            Scenario::Interference(spec) => radio.interference(spec),
+            Scenario::Narrowband(n) => radio.bandwidth(BandwidthProfile::Scaled { frac: n.frac }),
+            Scenario::CrowdedCell(c) => radio
+                .bandwidth(BandwidthProfile::Scaled { frac: c.frac })
+                .interference(c.interference),
+            Scenario::MultiAp(m) | Scenario::Hierarchical(m) => {
+                // A zero reuse factor is validated, then never heard.
+                let mut radio = radio
+                    .line(m.aps, m.spacing_m)?
+                    .handoff_kind(m.handoff)?
+                    .interference(InterferenceSpec {
+                        reuse_factor: m.reuse_factor,
+                    });
+                if let Some(spec) = m.mobility {
+                    radio = radio.mobility(waypoints(spec, seed)?);
+                }
+                if let Some(link) = m.backhaul {
+                    radio = radio.backhaul(link);
+                }
+                radio
+            }
+            Scenario::AdaptiveCut(a) => radio
+                .bandwidth(a.diurnal.into())
+                .interference(a.interference)
+                .stragglers(a.stragglers.into()),
+            Scenario::Orchestrated(o) => radio
+                .bandwidth(o.diurnal.into())
+                .interference(o.interference)
+                .stragglers(o.stragglers.into())
+                .faults(o.dropouts.into()),
             Scenario::Composite(c) => {
                 if c.diurnal.is_some() && c.congestion.is_some() {
                     return Err(crate::WirelessError::Config(
@@ -620,65 +586,42 @@ impl Scenario {
                             .into(),
                     ));
                 }
-                let mut b = DynamicEnvironment::builder(base).seed(seed);
+                let mut radio = radio;
                 if let Some(m) = c.mobility {
-                    b = b.mobility(waypoints(m, seed)?);
+                    radio = radio.mobility(waypoints(m, seed)?);
                 }
                 if let Some(d) = c.diurnal {
-                    b = b.bandwidth(BandwidthProfile::Diurnal {
-                        period_rounds: d.period_rounds,
-                        trough_frac: d.trough_frac,
-                    });
+                    radio = radio.bandwidth(d.into());
                 } else if let Some(s) = c.congestion {
-                    b = b.bandwidth(BandwidthProfile::Spikes {
-                        probability: s.probability,
-                        frac: s.frac,
-                    });
+                    radio = radio.bandwidth(s.into());
                 }
                 if let Some(s) = c.stragglers {
-                    b = b.stragglers(StragglerInjector {
-                        probability: s.probability,
-                        slowdown: s.slowdown,
-                    });
+                    radio = radio.stragglers(s.into());
                 }
                 if let Some(d) = c.dropouts {
-                    b = b.dropouts(DropoutInjector {
-                        probability: d.probability,
-                    });
+                    radio = radio.faults(d.into());
                 }
                 if let Some(i) = c.interference {
-                    b = b.interference(i);
+                    radio = radio.interference(i);
                 }
-                Ok(Box::new(b.build()?))
+                radio
             }
-            Scenario::LossyUplink(l) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .faults(FaultSpec {
-                        loss_prob: l.loss_prob,
-                        retry: l.retry,
-                        ..FaultSpec::default()
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
-            Scenario::Chaos(c) => Ok(Box::new(
-                DynamicEnvironment::builder(base)
-                    .faults(c.faults)
-                    .stragglers(StragglerInjector {
-                        probability: c.stragglers.probability,
-                        slowdown: c.stragglers.slowdown,
-                    })
-                    .seed(seed)
-                    .build()?,
-            )),
-        }
+            Scenario::LossyUplink(l) => radio.faults(FaultSpec {
+                loss_prob: l.loss_prob,
+                retry: l.retry,
+                ..FaultSpec::default()
+            }),
+            Scenario::Chaos(c) => radio.faults(c.faults).stragglers(c.stragglers.into()),
+        };
+        Ok(Box::new(radio.build()?))
     }
 }
 
 fn waypoints(m: MobilitySpec, seed: u64) -> Result<RandomWaypoint> {
-    if m.min_m <= 0.0 || m.max_m < m.min_m {
+    // NaN fails every comparison, so it is rejected here too.
+    if !(m.min_m > 0.0 && m.min_m <= m.max_m && m.max_m.is_finite()) {
         return Err(crate::WirelessError::Config(format!(
-            "mobility annulus must satisfy 0 < min_m ≤ max_m, got [{}, {}]",
+            "mobility annulus must satisfy 0 < min_m ≤ max_m < ∞, got [{}, {}]",
             m.min_m, m.max_m
         )));
     }
@@ -813,7 +756,7 @@ mod tests {
         assert!(env.total_bandwidth(5).as_hz() < env.total_bandwidth(0).as_hz());
         assert_ne!(env.distance(0, 0).unwrap(), env.distance(0, 7).unwrap());
         let slow = gflop_time(env.as_ref());
-        let fast = gflop_time(&StaticEnvironment::new(base()));
+        let fast = gflop_time(&RadioEnvironment::builder(base()).build().unwrap());
         assert!(slow.as_secs_f64() > fast.as_secs_f64());
     }
 
@@ -962,7 +905,7 @@ mod tests {
         let narrow = Scenario::Narrowband(NarrowbandSpec { frac: 0.1 })
             .build(base(), 0)
             .unwrap();
-        let nominal = StaticEnvironment::new(base());
+        let nominal = RadioEnvironment::builder(base()).build().unwrap();
         for round in 0..4u64 {
             let got = narrow.total_bandwidth(round).as_hz();
             let want = nominal.total_bandwidth(round).as_hz() * 0.1;
@@ -1089,7 +1032,7 @@ mod tests {
         assert!(outage, "chaos must take the AP dark");
         // Stragglers ride along.
         let slow = gflop_time(env.as_ref());
-        let fast = gflop_time(&StaticEnvironment::new(base()));
+        let fast = gflop_time(&RadioEnvironment::builder(base()).build().unwrap());
         assert!(slow.as_secs_f64() >= fast.as_secs_f64());
         assert!(Scenario::Chaos(ChaosSpec {
             faults: FaultSpec {

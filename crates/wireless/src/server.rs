@@ -23,14 +23,17 @@ impl EdgeServer {
     ///
     /// # Errors
     ///
-    /// Returns [`WirelessError::Config`] for zero slots or non-positive
-    /// rate.
+    /// Returns [`WirelessError::Config`] for zero slots or a non-positive
+    /// or non-finite rate.
     pub fn new(rate_per_slot: FlopsRate, slots: usize) -> Result<Self> {
         if slots == 0 {
             return Err(WirelessError::Config("server needs ≥ 1 slot".into()));
         }
-        if rate_per_slot.as_flops_per_sec() <= 0.0 {
-            return Err(WirelessError::Config("server rate must be positive".into()));
+        let r = rate_per_slot.as_flops_per_sec();
+        if !(r.is_finite() && r > 0.0) {
+            return Err(WirelessError::Config(format!(
+                "server rate must be finite and positive, got {r}"
+            )));
         }
         Ok(EdgeServer {
             rate_per_slot,

@@ -539,7 +539,7 @@ mod tests {
         let cond = env.conditions(3).unwrap();
         assert_eq!(
             cond.clients[0].compute_time(1_000_000),
-            model.client_compute(0, 1_000_000).unwrap()
+            model.device(0).unwrap().compute_time(1_000_000)
         );
         assert_eq!(env.server_compute(9_000), model.server_compute(9_000));
         assert_eq!(env.distance(1, 0).unwrap(), model.distance(1).unwrap());

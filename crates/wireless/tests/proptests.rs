@@ -2,16 +2,45 @@
 
 use gsfl_tensor::rng::SeedDerive;
 use gsfl_wireless::allocation::{allocate, BandwidthPolicy, LinkDemand};
-use gsfl_wireless::environment::{ChannelModel, Direction, DynamicEnvironment, StaticEnvironment};
+use gsfl_wireless::environment::{ChannelModel, Direction, RadioEnvironment};
 use gsfl_wireless::interference::InterferenceSpec;
 use gsfl_wireless::latency::LatencyModel;
 use gsfl_wireless::link::LinkBudget;
 use gsfl_wireless::mobility::RandomWaypoint;
-use gsfl_wireless::multi_ap::{HandoffKind, MultiApEnvironment};
+use gsfl_wireless::multi_ap::HandoffKind;
 use gsfl_wireless::pathloss::PathLoss;
 use gsfl_wireless::units::{Bytes, Hertz, Meters, Seconds};
 use gsfl_wireless::{FaultInjector, FaultSpec, TransferOutcome};
 use proptest::prelude::*;
+
+/// The paper's cell over `model`: one AP, no overlays.
+fn cell(model: LatencyModel) -> RadioEnvironment {
+    RadioEnvironment::builder(model).build().unwrap()
+}
+
+/// The cell over `model` with co-channel interference at `reuse`.
+fn interfering(model: LatencyModel, reuse: f64) -> RadioEnvironment {
+    RadioEnvironment::builder(model)
+        .interference(InterferenceSpec {
+            reuse_factor: reuse,
+        })
+        .build()
+        .unwrap()
+}
+
+/// `client`'s uplink time for `payload` over the whole band in `round`,
+/// priced from the link budget at its distance and fading gain.
+fn uplink_time(model: &LatencyModel, client: usize, payload: u64, round: u64) -> Seconds {
+    model
+        .uplink_budget()
+        .transmit_time(
+            Bytes::new(payload),
+            model.distance(client).unwrap(),
+            model.total_bandwidth(),
+            model.uplink_gain(client, round),
+        )
+        .unwrap()
+}
 
 /// `client`'s link in `dir` over `share` in `round`, against the
 /// transmitters in `concurrent`, from a fresh snapshot: `(time of
@@ -110,8 +139,8 @@ proptest! {
             .fixed_distances(vec![Meters::new(30.0), Meters::new(190.0)])
             .build()
             .unwrap();
-        let t_near = near.uplink_time(0, Bytes::new(payload), 0).unwrap();
-        let t_far = near.uplink_time(1, Bytes::new(payload), 0).unwrap();
+        let t_near = uplink_time(&near, 0, payload, 0);
+        let t_far = uplink_time(&near, 1, payload, 0);
         prop_assert!(t_far > t_near, "farther client must be slower");
         // Determinism across fresh builds.
         let again = LatencyModel::builder()
@@ -121,7 +150,7 @@ proptest! {
             .fixed_distances(vec![Meters::new(30.0), Meters::new(190.0)])
             .build()
             .unwrap();
-        prop_assert_eq!(again.uplink_time(0, Bytes::new(payload), 0).unwrap(), t_near);
+        prop_assert_eq!(uplink_time(&again, 0, payload, 0), t_near);
     }
 
     #[test]
@@ -136,24 +165,26 @@ proptest! {
         // The trait path must be bit-for-bit the concrete model: this is
         // what makes Scenario::Static provably behavior-preserving.
         let model = LatencyModel::builder().clients(clients).seed(seed).build().unwrap();
-        let env = StaticEnvironment::new(model.clone());
+        let env = cell(model.clone());
         let share = Hertz::from_mhz(share_mhz);
         let cond = env.conditions(round).unwrap();
         for c in 0..clients {
+            let d = model.distance(c).unwrap();
+            let (up_gain, down_gain) = (model.uplink_gain(c, round), model.downlink_gain(c, round));
             let up = env.link(&cond, c, Direction::Uplink, share, &[]).unwrap();
             let down = env.link(&cond, c, Direction::Downlink, share, &[]).unwrap();
             prop_assert_eq!(
                 up.time(Bytes::new(payload)).unwrap(),
-                model.uplink_time_with(c, Bytes::new(payload), round, share).unwrap()
+                model.uplink_budget().transmit_time(Bytes::new(payload), d, share, up_gain).unwrap()
             );
             prop_assert_eq!(
                 down.time(Bytes::new(payload)).unwrap(),
-                model.downlink_time_with(c, Bytes::new(payload), round, share).unwrap()
+                model.downlink_budget().transmit_time(Bytes::new(payload), d, share, down_gain).unwrap()
             );
-            prop_assert_eq!(up.rate_bps, model.uplink_rate_bps(c, round, share).unwrap());
+            prop_assert_eq!(up.rate_bps, model.uplink_budget().rate_bps(d, share, up_gain));
             prop_assert_eq!(
                 cond.clients[c].compute_time(flops),
-                model.client_compute(c, flops).unwrap()
+                model.device(c).unwrap().compute_time(flops)
             );
             prop_assert_eq!(env.distance(c, round).unwrap(), model.distance(c).unwrap());
             prop_assert!(env.is_available(c, round));
@@ -163,21 +194,25 @@ proptest! {
     }
 
     #[test]
-    fn overlay_free_dynamic_environment_matches_static(
+    fn overlay_free_environment_ignores_its_seed(
         seed in 0u64..100,
-        payload in 1u64..1_000_000,
+        payload in 1u64..2_000_000,
         round in 0u64..50,
     ) {
+        // The builder seed drives only overlays and AP bearings: the
+        // plain cell answers the same under every seed.
         let model = LatencyModel::builder().clients(3).seed(seed).build().unwrap();
-        let st = StaticEnvironment::new(model.clone());
-        let dy = DynamicEnvironment::builder(model).seed(seed).build().unwrap();
+        let unseeded = cell(model.clone());
+        let seeded = RadioEnvironment::builder(model).seed(seed).build().unwrap();
         let share = Hertz::from_mhz(1.5);
-        prop_assert_eq!(dy.conditions(round).unwrap(), st.conditions(round).unwrap());
+        prop_assert_eq!(seeded.conditions(round).unwrap(), unseeded.conditions(round).unwrap());
         for c in 0..3 {
-            prop_assert_eq!(
-                priced(&dy, c, Direction::Uplink, payload, round, share, &[]),
-                priced(&st, c, Direction::Uplink, payload, round, share, &[])
-            );
+            for dir in [Direction::Uplink, Direction::Downlink] {
+                prop_assert_eq!(
+                    priced(&seeded, c, dir, payload, round, share, &[]),
+                    priced(&unseeded, c, dir, payload, round, share, &[])
+                );
+            }
         }
     }
 
@@ -209,9 +244,7 @@ proptest! {
         // Environment layer: growing the concurrent-transmitter set can
         // only slow a victim's uplink.
         let model = LatencyModel::builder().clients(4).seed(seed).build().unwrap();
-        let env = StaticEnvironment::new(model)
-            .with_interference(InterferenceSpec { reuse_factor: reuse })
-            .unwrap();
+        let env = interfering(model, reuse);
         let share = Hertz::from_mhz(1.0);
         let t = |interferers: &[usize]| {
             priced(&env, 0, Direction::Uplink, 100_000, round, share, interferers)
@@ -240,22 +273,14 @@ proptest! {
         // across cells).
         let model = LatencyModel::builder().clients(4).seed(seed).build().unwrap();
         let spec = InterferenceSpec { reuse_factor: reuse };
-        let env: Box<dyn ChannelModel> = if env_kind == 1 {
-            Box::new(
-                MultiApEnvironment::builder(model)
-                    .line(2, 120.0)
-                    .unwrap()
-                    .interference(spec)
-                    .seed(seed)
-                    .build()
-                    .unwrap(),
-            )
-        } else {
-            Box::new(StaticEnvironment::new(model).with_interference(spec).unwrap())
-        };
+        let mut env = RadioEnvironment::builder(model).interference(spec);
+        if env_kind == 1 {
+            env = env.line(2, 120.0).unwrap().seed(seed);
+        }
+        let env = env.build().unwrap();
         let share = Hertz::from_mhz(1.0);
         let t = |receivers: &[usize]| {
-            priced(env.as_ref(), 0, Direction::Downlink, 100_000, round, share, receivers)
+            priced(&env, 0, Direction::Downlink, 100_000, round, share, receivers)
                 .0
                 .as_secs_f64()
         };
@@ -281,9 +306,7 @@ proptest! {
         // uplinks from the interferers' own positions, downlinks from
         // the AP over the victim's own path.
         let model = LatencyModel::builder().clients(4).seed(seed).build().unwrap();
-        let env = StaticEnvironment::new(model.clone())
-            .with_interference(InterferenceSpec { reuse_factor: reuse })
-            .unwrap();
+        let env = interfering(model.clone(), reuse);
         let share = Hertz::from_mhz(share_mhz);
         let up = model.uplink_budget();
         let down = model.downlink_budget();
@@ -315,10 +338,8 @@ proptest! {
         // receivers (or an inactive spec) must reproduce the plain
         // downlink time byte for byte.
         let model = LatencyModel::builder().clients(3).seed(seed).build().unwrap();
-        let plain = StaticEnvironment::new(model.clone());
-        let sinr_env = StaticEnvironment::new(model)
-            .with_interference(InterferenceSpec { reuse_factor: reuse })
-            .unwrap();
+        let plain = cell(model.clone());
+        let sinr_env = interfering(model, reuse);
         let share = Hertz::from_mhz(2.0);
         for c in 0..3 {
             prop_assert_eq!(
@@ -340,37 +361,14 @@ proptest! {
         // plain SNR environment byte for byte — same floats, not just
         // close ones.
         let model = LatencyModel::builder().clients(3).seed(seed).build().unwrap();
-        let plain = StaticEnvironment::new(model.clone());
-        let sinr_env = StaticEnvironment::new(model)
-            .with_interference(InterferenceSpec { reuse_factor: reuse })
-            .unwrap();
+        let plain = cell(model.clone());
+        let sinr_env = interfering(model, reuse);
         let share = Hertz::from_mhz(2.0);
         for c in 0..3 {
             prop_assert_eq!(
                 priced(&sinr_env, c, Direction::Uplink, payload, round, share, &[]),
                 priced(&plain, c, Direction::Uplink, payload, round, share, &[])
             );
-        }
-    }
-
-    #[test]
-    fn single_ap_multi_ap_environment_is_bitwise_static(
-        seed in 0u64..100,
-        round in 0u64..32,
-        payload in 1u64..2_000_000,
-    ) {
-        let model = LatencyModel::builder().clients(3).seed(seed).build().unwrap();
-        let single = StaticEnvironment::new(model.clone());
-        let multi = MultiApEnvironment::builder(model).seed(seed).build().unwrap();
-        let share = Hertz::from_mhz(1.0);
-        prop_assert_eq!(multi.conditions(round).unwrap(), single.conditions(round).unwrap());
-        for c in 0..3 {
-            for dir in [Direction::Uplink, Direction::Downlink] {
-                prop_assert_eq!(
-                    priced(&multi, c, dir, payload, round, share, &[]),
-                    priced(&single, c, dir, payload, round, share, &[])
-                );
-            }
         }
     }
 
@@ -385,7 +383,7 @@ proptest! {
             HandoffKind::Hysteresis { margin_db: 4.0 },
         ][kind_idx];
         let build = || {
-            MultiApEnvironment::builder(
+            RadioEnvironment::builder(
                 LatencyModel::builder().clients(5).seed(seed).build().unwrap(),
             )
             .line(3, 130.0)
@@ -397,6 +395,7 @@ proptest! {
                 seed,
             })
             .handoff_kind(kind)
+            .unwrap()
             .seed(seed)
             .build()
             .unwrap()
@@ -429,10 +428,7 @@ proptest! {
         let avg = |client: usize| -> f64 {
             (0..200)
                 .map(|round| {
-                    model
-                        .uplink_time(client, Bytes::new(100_000), round)
-                        .unwrap()
-                        .as_secs_f64()
+                    uplink_time(&model, client, 100_000, round).as_secs_f64()
                 })
                 .sum::<f64>()
                 / 200.0

@@ -8,7 +8,7 @@
 use gsfl::core::latency::{gsfl_round, sl_round, ChannelMode, SplitCosts};
 use gsfl::nn::model::{CutPoint, DeepThin};
 use gsfl::wireless::allocation::BandwidthPolicy;
-use gsfl::wireless::environment::{ChannelModel, Direction, StaticEnvironment};
+use gsfl::wireless::environment::{ChannelModel, Direction, RadioEnvironment};
 use gsfl::wireless::latency::LatencyModel;
 use gsfl::wireless::link::LinkBudget;
 use gsfl::wireless::units::{Bytes, Hertz, Meters};
@@ -23,7 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. A full latency model with fading.
-    let model = StaticEnvironment::new(LatencyModel::builder().clients(12).seed(3).build()?);
+    let model =
+        RadioEnvironment::builder(LatencyModel::builder().clients(12).seed(3).build()?).build()?;
     println!("\n— per-round fading on client 0 (1 MiB uplink) —");
     for round in 0..4 {
         // One snapshot per round; the link is priced over it.

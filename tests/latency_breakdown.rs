@@ -11,9 +11,9 @@ use gsfl::core::latency::{gsfl_round, sl_round, ChannelMode, SplitCosts};
 use gsfl::nn::model::Mlp;
 use gsfl::wireless::allocation::BandwidthPolicy;
 use gsfl::wireless::device::DeviceProfile;
-use gsfl::wireless::environment::{ChannelModel, StaticEnvironment};
+use gsfl::wireless::environment::{ChannelModel, RadioEnvironment};
 use gsfl::wireless::latency::LatencyModel;
-use gsfl::wireless::multi_ap::{AccessPoint, MultiApEnvironment};
+use gsfl::wireless::multi_ap::AccessPoint;
 use gsfl::wireless::server::EdgeServer;
 use gsfl::wireless::units::{FlopsRate, Meters};
 
@@ -43,7 +43,7 @@ fn server_contention_lands_in_server_time_not_uplink_time() {
     let groups: Vec<Vec<usize>> = (0..6).map(|c| vec![c]).collect();
     let run = |slots: usize| {
         gsfl_round(
-            &StaticEnvironment::new(model(slots, 6)),
+            &RadioEnvironment::builder(model(slots, 6)).build().unwrap(),
             &costs,
             &steps,
             &groups,
@@ -80,7 +80,7 @@ fn uncontended_breakdown_has_no_queue_wait() {
     // With ample slots, server_s is exactly the nominal compute time of
     // every server task (12 split steps + fedavg).
     let costs = costs();
-    let env = StaticEnvironment::new(model(8, 4));
+    let env = RadioEnvironment::builder(model(8, 4)).build().unwrap();
     let steps = vec![3usize; 4];
     let groups: Vec<Vec<usize>> = (0..4).map(|c| vec![c]).collect();
     let r = gsfl_round(
@@ -109,7 +109,7 @@ fn sequential_round_breakdown_sums_to_duration() {
     // SL is strictly sequential, so the wall clock is exactly the sum of
     // the phases — the breakdown must account for every second.
     let costs = costs();
-    let env = StaticEnvironment::new(model(4, 3));
+    let env = RadioEnvironment::builder(model(4, 3)).build().unwrap();
     let steps = vec![2usize; 3];
     let r = sl_round(&env, &costs, &steps, &[0, 1, 2], ChannelMode::Dedicated, 0).unwrap();
     let total = r.breakdown.total_s();
@@ -133,7 +133,7 @@ fn per_ap_contention_is_attributed_per_ap() {
     let fast = EdgeServer::new(FlopsRate::from_gflops(50.0), 8).unwrap();
     let slow = EdgeServer::new(FlopsRate::from_gflops(50.0), 1).unwrap();
     let build = |second_server: EdgeServer| {
-        MultiApEnvironment::builder(base.clone())
+        RadioEnvironment::builder(base.clone())
             .aps(vec![
                 AccessPoint {
                     x_m: 0.0,
@@ -156,7 +156,7 @@ fn per_ap_contention_is_attributed_per_ap() {
     let costs = costs();
     let steps = vec![2usize; 6];
     let groups: Vec<Vec<usize>> = (0..6).map(|c| vec![c]).collect();
-    let run = |env: &MultiApEnvironment| {
+    let run = |env: &RadioEnvironment| {
         gsfl_round(
             env,
             &costs,

@@ -6,13 +6,13 @@ use gsfl::core::latency::{gsfl_round, sl_round, ChannelMode, SplitCosts};
 use gsfl::nn::model::Mlp;
 use gsfl::wireless::allocation::BandwidthPolicy;
 use gsfl::wireless::device::DeviceProfile;
-use gsfl::wireless::environment::StaticEnvironment;
+use gsfl::wireless::environment::RadioEnvironment;
 use gsfl::wireless::latency::LatencyModel;
 use gsfl::wireless::server::EdgeServer;
 use gsfl::wireless::units::{FlopsRate, Meters};
 
-fn homogeneous_model(clients: usize, slots: usize) -> StaticEnvironment {
-    StaticEnvironment::new(
+fn homogeneous_model(clients: usize, slots: usize) -> RadioEnvironment {
+    RadioEnvironment::builder(
         LatencyModel::builder()
             .clients(clients)
             .fading(false)
@@ -25,6 +25,8 @@ fn homogeneous_model(clients: usize, slots: usize) -> StaticEnvironment {
             .build()
             .unwrap(),
     )
+    .build()
+    .unwrap()
 }
 
 fn costs() -> SplitCosts {

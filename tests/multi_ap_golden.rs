@@ -1,13 +1,13 @@
-//! The multi-AP environment must degenerate exactly: with a single AP at
-//! the origin, no roaming mobility and zero interference,
-//! `MultiApEnvironment` + the SINR code path has to reproduce the same
-//! golden round records the pre-SINR `StaticEnvironment` produced —
-//! byte for byte, through every scheme and the full session stack.
+//! The multi-AP preset must degenerate exactly: with a single AP at the
+//! origin, no roaming mobility and zero interference, the `multi_ap`
+//! scenario's radio environment has to reproduce the golden round
+//! records of the `static` scenario — byte for byte, through every
+//! scheme and the full session stack.
 //!
 //! This reuses `tests/fixtures/static_round_records.json` (generated by
-//! the pre-redesign code): the strongest possible guard that neither the
-//! SINR refactor, the per-AP DES resources, nor the cut-policy plumbing
-//! moved a single bit on the default configuration.
+//! the pre-redesign code): it guards the AP-layout, handoff and per-AP
+//! discrete-event paths against moving a single bit on the default
+//! configuration.
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
 use gsfl::core::results::RoundRecord;
@@ -76,7 +76,7 @@ fn single_ap_multi_ap_scenario_reproduces_static_golden_fixture() {
     .expect("golden fixture present");
     assert_eq!(
         got, golden,
-        "a degenerate MultiApEnvironment (1 AP, no interference) must \
+        "a degenerate multi_ap scenario (1 AP, no interference) must \
          reproduce the static-scenario golden records byte for byte"
     );
 }

@@ -21,6 +21,12 @@
 //! momentum 0.9, which pins SL's optimizer velocity carried across
 //! rounds; SL runs once under a shared bandwidth pool (its whole-band
 //! share) and once under the greedy cut policy.
+//!
+//! Record digests see only 3 rounds of each environment, so a stream that
+//! first fires later (a congestion spike, a handoff) slips past them.
+//! `every_preset_environment_reproduces_its_pinned_digest` pins what each
+//! preset's environment itself answers over 48 rounds, in
+//! `tests/fixtures/environment_digests.txt`.
 
 use gsfl::core::compression::CompressionSpec;
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
@@ -33,6 +39,8 @@ use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
 use gsfl::nn::codec::CodecSpec;
 use gsfl::wireless::allocation::BandwidthPolicy;
+use gsfl::wireless::environment::{ChannelModel, Direction, LinkState};
+use gsfl::wireless::latency::LatencyModel;
 use gsfl::wireless::Scenario;
 
 const SCHEMES: [SchemeKind; 4] = [
@@ -42,33 +50,58 @@ const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::Gsfl,
 ];
 
+/// 64-bit FNV-1a, fed one `u64` at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.eat(x.to_bits());
+    }
+
+    /// An optional value: a tag, then the value's bits.
+    fn opt(&mut self, x: Option<f64>) {
+        match x {
+            Some(v) => {
+                self.eat(1);
+                self.f64(v);
+            }
+            None => self.eat(0),
+        }
+    }
+}
+
 /// 64-bit FNV-1a over every field of every record.
 fn digest(records: &[RoundRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::new();
     for r in records {
-        eat(r.round as u64);
-        eat(r.round_latency_s.to_bits());
-        eat(r.cumulative_latency_s.to_bits());
-        eat(r.train_loss.to_bits());
-        eat(r.test_accuracy.map_or(u64::MAX, f64::to_bits));
-        eat(r.bytes_up);
-        eat(r.bytes_down);
-        eat(r.bytes_up_raw);
-        eat(r.bytes_down_raw);
-        eat(r.client_energy_j.to_bits());
-        eat(r.retries);
-        eat(r.wasted_airtime_bytes);
-        eat(u64::from(r.lost_clients));
-        eat(u64::from(r.backups_activated));
-        eat(u64::from(r.quorum_met));
+        h.eat(r.round as u64);
+        h.f64(r.round_latency_s);
+        h.f64(r.cumulative_latency_s);
+        h.f64(r.train_loss);
+        h.eat(r.test_accuracy.map_or(u64::MAX, f64::to_bits));
+        h.eat(r.bytes_up);
+        h.eat(r.bytes_down);
+        h.eat(r.bytes_up_raw);
+        h.eat(r.bytes_down_raw);
+        h.f64(r.client_energy_j);
+        h.eat(r.retries);
+        h.eat(r.wasted_airtime_bytes);
+        h.eat(u64::from(r.lost_clients));
+        h.eat(u64::from(r.backups_activated));
+        h.eat(u64::from(r.quorum_met));
     }
-    h
+    h.0
 }
 
 fn config(scenario: Scenario) -> ExperimentConfig {
@@ -205,6 +238,23 @@ fn cases() -> Vec<(String, ExperimentConfig, SchemeKind)> {
     cases
 }
 
+/// Compares `table` with the pinned fixture `name`, line by line.
+fn assert_pinned(table: &str, name: &str, what: &str) {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let pinned = std::fs::read_to_string(path).unwrap_or_default();
+    let mismatched: Vec<String> = table
+        .lines()
+        .zip(pinned.lines().chain(std::iter::repeat("<missing>")))
+        .filter(|(got, want)| got != want)
+        .map(|(got, want)| format!("  got  {got}\n  want {want}"))
+        .collect();
+    assert!(
+        mismatched.is_empty() && table.lines().count() == pinned.lines().count(),
+        "{what} moved:\n{}\nfull table:\n{table}",
+        mismatched.join("\n")
+    );
+}
+
 #[test]
 fn every_preset_reproduces_its_pinned_record_digest() {
     let mut table = String::new();
@@ -216,20 +266,111 @@ fn every_preset_reproduces_its_pinned_record_digest() {
         assert!(!result.records.is_empty(), "{label}: no records");
         table.push_str(&format!("{label} {:016x}\n", digest(&result.records)));
     }
-    let pinned = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/preset_digests.txt"
-    ))
-    .unwrap_or_default();
-    let mismatched: Vec<String> = table
-        .lines()
-        .zip(pinned.lines().chain(std::iter::repeat("<missing>")))
-        .filter(|(got, want)| got != want)
-        .map(|(got, want)| format!("  got  {got}\n  want {want}"))
-        .collect();
-    assert!(
-        mismatched.is_empty() && table.lines().count() == pinned.lines().count(),
-        "record digests moved:\n{}\nfull table:\n{table}",
-        mismatched.join("\n")
-    );
+    assert_pinned(&table, "preset_digests.txt", "record digests");
+}
+
+/// Rounds each environment digest covers.
+const ENV_ROUNDS: u64 = 48;
+
+/// Transfers per client and round whose fate the digest reads.
+const ENV_TRANSFERS: u64 = 4;
+
+/// 64-bit FNV-1a over everything `env` answers in its first
+/// [`ENV_ROUNDS`] rounds: each round's snapshot, every per-client query,
+/// each client's priced links both ways at two shares, alone and against
+/// every other client, and every AP's server and backhaul.
+fn environment_digest(env: &dyn ChannelModel) -> u64 {
+    let mut h = Fnv::new();
+    let clients = env.client_count();
+    h.eat(clients as u64);
+    h.eat(env.ap_count() as u64);
+    for round in 0..ENV_ROUNDS {
+        h.f64(env.total_bandwidth(round).as_hz());
+        let cond = env.conditions(round).unwrap();
+        h.eat(cond.round);
+        h.f64(cond.bandwidth.as_hz());
+        for c in &cond.clients {
+            h.eat(c.client as u64);
+            h.f64(c.distance.as_meters());
+            h.f64(c.compute_rate.as_flops_per_sec());
+            h.f64(c.uplink_gain);
+            h.f64(c.downlink_gain);
+            h.eat(u64::from(c.available));
+            h.eat(c.ap as u64);
+            match c.link {
+                LinkState::Radio {
+                    uplink_rx_dbm,
+                    downlink_rx_dbm,
+                } => {
+                    h.eat(0);
+                    h.f64(uplink_rx_dbm);
+                    h.f64(downlink_rx_dbm);
+                }
+                LinkState::Measured {
+                    bandwidth_bps,
+                    rtt_s,
+                } => {
+                    h.eat(1);
+                    h.f64(bandwidth_bps);
+                    h.f64(rtt_s);
+                }
+            }
+        }
+        h.eat(cond.ap_paths.len() as u64);
+        for p in &cond.ap_paths {
+            h.f64(p.uplink_rx_dbm);
+            h.f64(p.downlink_rx_dbm);
+        }
+        for c in 0..clients {
+            h.eat(u64::from(env.is_available(c, round)));
+            h.eat(env.ap_of(c, round).unwrap() as u64);
+            h.f64(env.distance(c, round).unwrap().as_meters());
+            h.f64(env.device_rate(c, round).unwrap().as_flops_per_sec());
+            h.opt(env.crash_point(c, round));
+            for t in 0..ENV_TRANSFERS {
+                let o = env.transfer_outcome(c, round, t);
+                h.eat(u64::from(o.attempts));
+                h.f64(o.backoff_s);
+            }
+            let others: Vec<usize> = (0..clients).filter(|&o| o != c).collect();
+            for dir in [Direction::Uplink, Direction::Downlink] {
+                for share in [cond.dedicated_share(), cond.bandwidth] {
+                    for concurrent in [&[][..], &others[..]] {
+                        let link = env.link(&cond, c, dir, share, concurrent).unwrap();
+                        h.f64(link.rate_bps);
+                        h.f64(link.latency_s);
+                    }
+                }
+            }
+        }
+    }
+    for ap in 0..env.ap_count() {
+        h.f64(env.server_compute_at(ap, 1_000_000_000).as_secs_f64());
+        h.eat(env.server_at(ap).slots() as u64);
+        let backhaul = env.backhaul(ap);
+        h.opt(backhaul.map(|b| b.capacity_bps));
+        h.opt(backhaul.map(|b| b.latency_s));
+    }
+    h.0
+}
+
+#[test]
+fn every_preset_environment_reproduces_its_pinned_digest() {
+    let mut table = String::new();
+    for scenario in Scenario::presets() {
+        for (clients, seed) in [(8usize, 5u64), (13, 11)] {
+            let base = LatencyModel::builder()
+                .clients(clients)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let env = scenario.build(base, seed).unwrap();
+            table.push_str(&format!(
+                "{} {clients}c seed{seed} {:016x}\n",
+                scenario.name(),
+                environment_digest(env.as_ref())
+            ));
+        }
+    }
+    assert_pinned(&table, "environment_digests.txt", "environment digests");
 }

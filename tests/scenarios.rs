@@ -6,8 +6,9 @@ use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind, WirelessCon
 use gsfl::core::context::TrainContext;
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
+use gsfl::wireless::multi_ap::HandoffKind;
 use gsfl::wireless::scenario::{
-    CongestionSpec, DiurnalSpec, DropoutSpec, MobilitySpec, Scenario, StragglerSpec,
+    CongestionSpec, DiurnalSpec, DropoutSpec, MobilitySpec, MultiApSpec, Scenario, StragglerSpec,
 };
 
 /// A tiny config; `fading: false` isolates the scenario's own
@@ -238,4 +239,71 @@ fn scenario_survives_config_serde() {
     assert_ne!(stripped, json, "field must have been present");
     let legacy: ExperimentConfig = serde_json::from_str(&stripped).unwrap();
     assert_eq!(legacy.scenario, Scenario::Static);
+}
+
+/// Sets one wireless input of a config to the value under test.
+type Setter = fn(&mut ExperimentConfig, f64);
+
+#[test]
+fn non_finite_wireless_inputs_are_rejected() {
+    let cases: [(&str, Setter); 10] = [
+        ("wireless.bandwidth_mhz", |c, x| {
+            c.wireless.bandwidth_mhz = x
+        }),
+        ("wireless.server_gflops", |c, x| {
+            c.wireless.server_gflops = x
+        }),
+        ("wireless.device_min_gflops", |c, x| {
+            c.wireless.device_min_gflops = x
+        }),
+        ("wireless.device_max_gflops", |c, x| {
+            c.wireless.device_max_gflops = x
+        }),
+        ("congested.frac", |c, x| {
+            c.scenario = Scenario::Congested(CongestionSpec {
+                probability: 1.0,
+                frac: x,
+            })
+        }),
+        ("mobility.min_m", |c, x| {
+            c.scenario = Scenario::Mobility(MobilitySpec {
+                min_m: x,
+                ..MobilitySpec::default()
+            })
+        }),
+        ("mobility.max_m", |c, x| {
+            c.scenario = Scenario::Mobility(MobilitySpec {
+                max_m: x,
+                ..MobilitySpec::default()
+            })
+        }),
+        ("stragglers.slowdown", |c, x| {
+            c.scenario = Scenario::Stragglers(StragglerSpec {
+                slowdown: x,
+                ..StragglerSpec::default()
+            })
+        }),
+        ("multi_ap.spacing_m", |c, x| {
+            c.scenario = Scenario::MultiAp(MultiApSpec {
+                spacing_m: x,
+                ..MultiApSpec::default()
+            })
+        }),
+        ("multi_ap.handoff.margin_db", |c, x| {
+            c.scenario = Scenario::MultiAp(MultiApSpec {
+                handoff: HandoffKind::Hysteresis { margin_db: x },
+                ..MultiApSpec::default()
+            })
+        }),
+    ];
+    for (field, set) in cases {
+        for x in [f64::NAN, f64::INFINITY] {
+            let mut config = tiny(Scenario::Static, true);
+            set(&mut config, x);
+            assert!(
+                Runner::new(config).is_err(),
+                "{field} = {x} must be rejected"
+            );
+        }
+    }
 }
