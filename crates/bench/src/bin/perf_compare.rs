@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Prints a markdown summary table to stdout and exits non-zero when any
-//! tracked speedup ratio regressed past the threshold. Comparing the
-//! committed baseline against itself always passes — the invariant the
-//! gate's own CI wiring relies on.
+//! tracked speedup ratio regressed past the threshold, or when a row
+//! appears in only one of the two reports. Comparing the committed
+//! baseline against itself always passes — the invariant the gate's own
+//! CI wiring relies on.
 
 use gsfl_bench::compare::compare;
 use gsfl_bench::suite::SuiteReport;
@@ -60,7 +61,7 @@ fn main() -> ExitCode {
     match run() {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
-            eprintln!("perf gate failed: a tracked speedup ratio regressed");
+            eprintln!("perf gate failed: a tracked speedup ratio regressed or a row is unmatched");
             ExitCode::FAILURE
         }
         Err(msg) => {

@@ -3,7 +3,7 @@
 //! Quantifies the storage argument for grouping: SFL keeps one server-side
 //! model per client; GSFL keeps one per group. Storage is read from each
 //! scheme through the `Scheme` trait (`storage_bytes`), dispatched by
-//! name via the scheme registry.
+//! name through `SchemeKind::from_name`.
 //!
 //! The claim is a gate: the binary exits non-zero unless, at every fleet
 //! size, GSFL stores fewer bytes than SFL and SFL/GSFL is exactly N/M.
@@ -12,14 +12,13 @@
 
 use gsfl_bench::{paper_config, print_table};
 use gsfl_core::context::TrainContext;
-use gsfl_core::scheme::SchemeRegistry;
+use gsfl_core::scheme::SchemeKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let registry = SchemeRegistry::builtin();
     let storage = |name: &str, ctx: &TrainContext| -> u64 {
-        registry
-            .create(name)
+        SchemeKind::from_name(name)
             .expect("builtin scheme")
+            .scheme()
             .storage_bytes(ctx)
     };
     let mut rows = Vec::new();

@@ -12,9 +12,12 @@
 //! slowdown = committed_speedup / ci_speedup
 //! ```
 //!
-//! and fails only when some workload's slowdown exceeds the configured
+//! and fails when some workload's slowdown exceeds the configured
 //! threshold (2.5× in CI — loose enough for noisy runners, tight enough
 //! to catch a fast path quietly falling back to the reference engine).
+//! It also fails when a workload appears in only one report: the full
+//! and `--quick` suites register the same rows, so an unmatched row
+//! means the committed baseline is stale and that row would go ungated.
 
 use crate::suite::SuiteReport;
 
@@ -39,17 +42,18 @@ pub struct RatioRow {
 pub struct CompareReport {
     /// Per-workload rows, in committed-baseline order.
     pub rows: Vec<RatioRow>,
-    /// Workloads present in only one of the two reports (informational;
-    /// never fails the gate).
+    /// Workloads present in only one of the two reports; any fails the
+    /// gate.
     pub missing: Vec<String>,
     /// The failure threshold the rows were judged against.
     pub max_slowdown: f64,
 }
 
 impl CompareReport {
-    /// Whether every tracked ratio stays under the threshold.
+    /// Whether every tracked ratio stays under the threshold and every
+    /// workload appears in both reports.
     pub fn passed(&self) -> bool {
-        self.rows.iter().all(|r| r.ok)
+        self.missing.is_empty() && self.rows.iter().all(|r| r.ok)
     }
 
     /// The rows that breached the threshold.
@@ -74,7 +78,7 @@ impl CompareReport {
             ));
         }
         for name in &self.missing {
-            out.push_str(&format!("| {name} | — | — | — | skipped (unmatched) |\n"));
+            out.push_str(&format!("| {name} | — | — | — | **UNMATCHED** |\n"));
         }
         out.push_str(&format!(
             "\ngate: max allowed slowdown {:.2}× — **{}**\n",
@@ -179,14 +183,19 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_workloads_are_reported_not_failed() {
+    fn unmatched_workloads_fail_the_gate() {
         let committed = report(&[("a", 2.0), ("gone", 4.0)]);
         let current = report(&[("a", 2.0), ("new", 1.5)]);
         let verdict = compare(&committed, &current, 2.5);
-        assert!(verdict.passed());
+        assert!(!verdict.passed());
+        assert!(verdict.regressions().is_empty(), "no ratio regressed");
         assert_eq!(verdict.rows.len(), 1);
         assert_eq!(verdict.missing, vec!["gone".to_string(), "new".to_string()]);
-        assert!(verdict.markdown().contains("skipped (unmatched)"));
+        assert!(verdict.markdown().contains("**UNMATCHED**"));
+        assert!(verdict.markdown().contains("FAIL"));
+        // An extra row alone fails too.
+        let extra = report(&[("a", 2.0), ("gone", 4.0), ("new", 1.5)]);
+        assert!(!compare(&committed, &extra, 2.5).passed());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! baseline — the machine-portable ratio `perf_compare` gates on.
 
 use super::Suite;
-use gsfl_tensor::quant::{fp16_roundtrip, intq_roundtrip, topk_mask};
+use gsfl_tensor::quant::topk_mask;
 use gsfl_tensor::rng::seeded_rng;
 use gsfl_tensor::wire::{self, WireBuf};
 use gsfl_tensor::Workspace;
@@ -153,18 +153,6 @@ fn topk_sort_fresh(values: &mut [f32], k: usize) {
 /// Registers the codec benches on `suite`.
 pub fn register(suite: &mut Suite) {
     let src = payload();
-
-    let mut buf = src.clone();
-    suite.run("codec_fp16_roundtrip_64k", 200, || {
-        buf.copy_from_slice(&src);
-        fp16_roundtrip(black_box(&mut buf));
-    });
-
-    let mut buf = src.clone();
-    suite.run("codec_intq8_roundtrip_64k", 100, || {
-        buf.copy_from_slice(&src);
-        intq_roundtrip(black_box(&mut buf), 8, 42);
-    });
 
     let mut base_buf = src.clone();
     let mut fast_buf = src.clone();

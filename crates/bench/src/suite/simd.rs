@@ -1,34 +1,45 @@
-//! Per-kernel SIMD dispatch benches: each kernel that was ported onto
-//! the runtime-dispatched lanes in `gsfl_tensor::simd` is timed with the
-//! ISA pinned explicitly — scalar tier as the baseline, AVX2 tier as the
-//! fast side — so `perf_compare` tracks the vectorization win per kernel
-//! independently of the end-to-end numbers. Reference-tier and unfused
-//! entries ride along as plain timings where the historical kernel still
-//! exists.
+//! Per-kernel SIMD dispatch benches: each kernel that keeps an AVX2 tier
+//! in `gsfl_tensor::simd` is timed with the ISA pinned explicitly —
+//! scalar tier as the baseline, AVX2 tier as the fast side — so
+//! `perf_compare` tracks the vectorization win per kernel independently
+//! of the end-to-end numbers. Rows are sized to what the program runs:
+//! DeepThin's conv weight-gradient shapes and the client model
+//! `orchestrated_sfl` sparsifies. The fused softmax cross-entropy rides
+//! along with the historical unfused kernel as its baseline, and the
+//! reference GEMM as a plain timing.
 //!
 //! On hosts without AVX2/FMA/F16C the fast side falls back to the scalar
 //! lanes (the dispatch wrappers re-check the CPU), so the speedups
 //! degenerate to ≈1.0× instead of lying.
 
 use super::Suite;
+use gsfl_nn::codec::TopK;
 use gsfl_nn::loss::SoftmaxCrossEntropy;
 use gsfl_tensor::matmul::{gemm_a_bt_with_isa, gemm_with_isa};
-use gsfl_tensor::quant::fp16_roundtrip_with_isa;
 use gsfl_tensor::simd::Isa;
-use gsfl_tensor::wire::{encode_intq_with_isa, encode_topk_with_isa, WireBuf};
+use gsfl_tensor::wire::{encode_f16_with_isa, encode_intq_with_isa, encode_topk_with_isa, WireBuf};
 use gsfl_tensor::{reference, Tensor, Workspace};
 use std::hint::black_box;
 
 /// Codec-bench payload size (matches the codec group: 64k scalars).
 const N: usize = 64 * 1024;
-const K: usize = N / 16;
 
 /// Fixed stochastic-rounding stream; both ISA tiers must draw the same
 /// sequence for the byte-identity contract to hold.
 const STREAM: u64 = 42;
 
-fn payload() -> Vec<f32> {
-    (0..N)
+/// DeepThin's two conv weight-gradient shapes `(m, k, n)` at the
+/// paper_gsfl configuration (16×16 images, batch 16): conv1 has 8
+/// filters over 3×3×3 patches at 16×16 outputs, conv2 has 16 filters
+/// over 8×3×3 patches at 8×8 outputs.
+const DW_SHAPES: [(usize, usize, usize); 2] = [(8, 4096, 27), (16, 1024, 72)];
+
+/// Parameters of the client model `orchestrated_sfl` sends through its
+/// TopK arm at cuts 1 and 2: the 192→32 dense layer of its MLP.
+const CLIENT_MODEL: usize = 192 * 32 + 32;
+
+fn payload(n: usize) -> Vec<f32> {
+    (0..n)
         .map(|i| ((i * 31 % 4093) as f32 - 2046.0) * 0.01)
         .collect()
 }
@@ -82,47 +93,47 @@ pub fn register(suite: &mut Suite) {
         black_box(reference::matmul(black_box(&at), black_box(&bt)).expect("matmul"));
     });
 
-    // --- Conv-dW long-dot shape: dW = dY · colsᵀ with a 64k reduction
-    // axis and a tiny output tile — the FMA lane-dot's home turf.
-    let m = 4;
-    let n = 27;
-    let k = 64 * 1024;
-    let dy: Vec<f32> = (0..m * k)
-        .map(|i| ((i * 13 % 2003) as f32 - 1001.0) * 0.004)
-        .collect();
-    let cols: Vec<f32> = (0..n * k)
-        .map(|i| ((i * 29 % 1999) as f32 - 999.0) * 0.003)
-        .collect();
-    let mut dw_base = vec![0.0f32; m * n];
-    let mut dw_fast = vec![0.0f32; m * n];
-    suite.compare(
-        "simd_dw_lanedot_64k",
-        60,
-        || {
-            gemm_a_bt_with_isa(
-                Isa::Scalar,
-                m,
-                k,
-                n,
-                black_box(&dy),
-                black_box(&cols),
-                &mut dw_base,
-            );
-            black_box(dw_base[0]);
-        },
-        || {
-            gemm_a_bt_with_isa(
-                Isa::Avx2,
-                m,
-                k,
-                n,
-                black_box(&dy),
-                black_box(&cols),
-                &mut dw_fast,
-            );
-            black_box(dw_fast[0]);
-        },
-    );
+    // --- Conv weight gradient dW = dY · colsᵀ at DeepThin's shapes: a
+    // long reduction axis and a small output tile — the FMA lane-dot's
+    // home turf.
+    for (m, k, n) in DW_SHAPES {
+        let dy: Vec<f32> = (0..m * k)
+            .map(|i| ((i * 13 % 2003) as f32 - 1001.0) * 0.004)
+            .collect();
+        let cols: Vec<f32> = (0..n * k)
+            .map(|i| ((i * 29 % 1999) as f32 - 999.0) * 0.003)
+            .collect();
+        let mut dw_base = vec![0.0f32; m * n];
+        let mut dw_fast = vec![0.0f32; m * n];
+        suite.compare(
+            format!("simd_dw_lanedot_{m}x{k}x{n}"),
+            400,
+            || {
+                gemm_a_bt_with_isa(
+                    Isa::Scalar,
+                    m,
+                    k,
+                    n,
+                    black_box(&dy),
+                    black_box(&cols),
+                    &mut dw_base,
+                );
+                black_box(dw_base[0]);
+            },
+            || {
+                gemm_a_bt_with_isa(
+                    Isa::Avx2,
+                    m,
+                    k,
+                    n,
+                    black_box(&dy),
+                    black_box(&cols),
+                    &mut dw_fast,
+                );
+                black_box(dw_fast[0]);
+            },
+        );
+    }
 
     // --- Fused softmax + cross-entropy forward/backward, 512×32.
     let rows = 512;
@@ -133,54 +144,44 @@ pub fn register(suite: &mut Suite) {
     let labels: Vec<usize> = (0..rows).map(|r| (r * 7) % classes).collect();
     let loss_fn = SoftmaxCrossEntropy::new();
     suite.compare(
-        "simd_softmax_xent_fused",
+        "softmax_xent_fused",
         200,
         || {
             black_box(
                 loss_fn
-                    .compute_with_isa(Isa::Scalar, black_box(&logits), &labels)
+                    .compute_unfused(black_box(&logits), &labels)
                     .expect("loss"),
             );
         },
         || {
             black_box(
                 loss_fn
-                    .compute_with_isa(Isa::Avx2, black_box(&logits), &labels)
+                    .compute_fused(black_box(&logits), &labels)
                     .expect("loss"),
             );
         },
     );
-    // The historical two-pass kernel, as a plain timing: the fusion win
-    // is `unfused / fast`.
-    suite.run("simd_softmax_xent_fused/unfused", 200, || {
-        black_box(
-            loss_fn
-                .compute_unfused(black_box(&logits), &labels)
-                .expect("loss"),
-        );
-    });
 
-    // --- fp16 in-place round trip over the 64k codec payload.
-    let src = payload();
-    let mut buf_base = src.clone();
-    let mut buf_fast = src.clone();
+    // --- F16 wire encode over the 64k codec payload: hardware
+    // conversion into the packed binary16 section.
+    let src = payload(N);
+    let mut wire_base = WireBuf::new();
+    let mut wire_fast = WireBuf::new();
     suite.compare(
-        "simd_fp16_roundtrip_64k",
+        "simd_encode_f16_64k",
         200,
         || {
-            buf_base.copy_from_slice(&src);
-            fp16_roundtrip_with_isa(Isa::Scalar, black_box(&mut buf_base));
+            encode_f16_with_isa(Isa::Scalar, black_box(&src), &mut wire_base);
+            black_box(wire_base.len());
         },
         || {
-            buf_fast.copy_from_slice(&src);
-            fp16_roundtrip_with_isa(Isa::Avx2, black_box(&mut buf_fast));
+            encode_f16_with_isa(Isa::Avx2, black_box(&src), &mut wire_fast);
+            black_box(wire_fast.len());
         },
     );
 
     // --- IntQ 4-bit wire encode: stochastic rounding, clamp, and
     // bit-pack (the uplink artifact hot path).
-    let mut wire_base = WireBuf::new();
-    let mut wire_fast = WireBuf::new();
     suite.compare(
         "simd_encode_intq4_64k",
         60,
@@ -194,24 +195,33 @@ pub fn register(suite: &mut Suite) {
         },
     );
 
-    // --- TopK wire encode: magnitude scan, threshold count, pack.
+    // --- TopK wire encode of a client-model delta: magnitude scan,
+    // threshold count, pack, at the 5% arm of the planner's codec menu.
+    let delta = payload(CLIENT_MODEL);
+    let k = TopK { frac: 0.05 }.kept(CLIENT_MODEL);
     let mut ws_base = Workspace::new();
     let mut ws_fast = Workspace::new();
     suite.compare(
-        "simd_encode_topk_64k",
-        60,
+        format!("simd_encode_topk_{CLIENT_MODEL}"),
+        2000,
         || {
             encode_topk_with_isa(
                 Isa::Scalar,
-                black_box(&src),
-                K,
+                black_box(&delta),
+                k,
                 &mut ws_base,
                 &mut wire_base,
             );
             black_box(wire_base.len());
         },
         || {
-            encode_topk_with_isa(Isa::Avx2, black_box(&src), K, &mut ws_fast, &mut wire_fast);
+            encode_topk_with_isa(
+                Isa::Avx2,
+                black_box(&delta),
+                k,
+                &mut ws_fast,
+                &mut wire_fast,
+            );
             black_box(wire_fast.len());
         },
     );

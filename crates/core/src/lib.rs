@@ -38,7 +38,7 @@
 //! [`runner::Runner::run`] is a thin drain of the same iterator. Early
 //! stopping is pluggable through [`stop::StopPolicy`] (target accuracy,
 //! round/latency budgets, loss plateau — composable), and schemes are
-//! name-dispatchable through [`scheme::SchemeRegistry`].
+//! name-dispatchable through [`scheme::SchemeKind::from_name`].
 //!
 //! # Quickstart
 //!

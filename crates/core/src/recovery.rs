@@ -186,10 +186,16 @@ impl RoundFate {
     /// Whether the survivor fraction meets `min_quorum_frac`. Vacuously
     /// true for an empty schedule.
     pub fn quorum_met(&self, min_quorum_frac: f64) -> bool {
+        self.usable_quorum_met(self.survivors.len(), min_quorum_frac)
+    }
+
+    /// Whether `usable` of the planned slots meet `min_quorum_frac`.
+    /// Vacuously true for an empty schedule.
+    fn usable_quorum_met(&self, usable: usize, min_quorum_frac: f64) -> bool {
         if self.planned.is_empty() {
             return true;
         }
-        let frac = self.survivors.len() as f64 / self.planned.len() as f64;
+        let frac = usable as f64 / self.planned.len() as f64;
         frac >= min_quorum_frac - 1e-12
     }
 
@@ -280,10 +286,20 @@ impl RoundRecovery {
     /// *nobody* delivered, which no scheme can aggregate, however small
     /// the quorum fraction.
     pub fn quorum_met(&self, fate: &RoundFate) -> bool {
+        self.usable_quorum_met(fate, fate.survivors.len())
+    }
+
+    /// [`RoundRecovery::quorum_met`] when only `usable` of the
+    /// survivors' updates can be aggregated (the rest arrived
+    /// non-finite).
+    pub(crate) fn usable_quorum_met(&self, fate: &RoundFate, usable: usize) -> bool {
         if fate.planned.is_empty() {
             return true;
         }
-        !fate.survivors.is_empty() && self.min_quorum_frac.is_none_or(|q| fate.quorum_met(q))
+        usable > 0
+            && self
+                .min_quorum_frac
+                .is_none_or(|q| fate.usable_quorum_met(usable, q))
     }
 
     /// The client that trains `slot`'s update this round: the assigned

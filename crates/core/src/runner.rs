@@ -92,7 +92,7 @@ impl Runner {
     }
 
     /// Starts a streaming session over a caller-provided scheme instance
-    /// (e.g. one built by a [`crate::scheme::SchemeRegistry`]). As with
+    /// (e.g. one built by [`SchemeKind::scheme`]). As with
     /// [`Runner::session_with_policy`], `policy` replaces the
     /// config-implied stop policy.
     ///
@@ -302,7 +302,13 @@ impl<'a> Session<'a> {
             .push_back(RoundEvent::RoundFinished { round, record });
 
         self.next_round = round + 1;
-        if let Some(reason) = self.policy.observe(&record) {
+        if self.scheme.diverged() {
+            self.queue.push_back(RoundEvent::Stopped {
+                round,
+                reason: StopReason::Diverged { round },
+            });
+            self.done = true;
+        } else if let Some(reason) = self.policy.observe(&record) {
             self.queue.push_back(RoundEvent::Stopped { round, reason });
             self.done = true;
         } else if round >= cfg.rounds {

@@ -1,6 +1,8 @@
 //! Centralized learning (CL): the accuracy upper-bound baseline.
 
-use super::common::{full_train_epoch, make_batcher, make_opt, require_state, require_state_mut};
+use super::common::{
+    all_finite, full_train_epoch, make_batcher, make_opt, require_state, require_state_mut,
+};
 use super::{RoundOutcome, Scheme, SchemeKind};
 use crate::context::TrainContext;
 use crate::latency::cl_round;
@@ -31,6 +33,8 @@ struct State {
     /// traffic or cut, so plans only vary the (compute-irrelevant)
     /// codec — the loop exists so orchestrators observe every scheme.
     plans: PlanSelector,
+    /// Whether the model turned non-finite.
+    diverged: bool,
 }
 
 impl Centralized {
@@ -67,6 +71,7 @@ impl Scheme for Centralized {
             pooled,
             total_steps,
             plans: PlanSelector::from_config(cfg),
+            diverged: false,
         });
         Ok(())
     }
@@ -80,7 +85,11 @@ impl Scheme for Centralized {
             &state.batcher,
             round as u64,
         )?;
-        state.opt.advance_round();
+        state.diverged = !state
+            .net
+            .params()
+            .iter()
+            .all(|p| all_finite(p.value().data()));
         // `full_flops` is a raw field — no plan codec can change the CL
         // round, so the static path stays byte-identical by construction.
         let (plan, costs) = state.plans.plan_for_round(ctx, round as u64)?;
@@ -98,5 +107,9 @@ impl Scheme for Centralized {
     fn global_params(&self) -> Result<ParamVec> {
         let state = require_state(&self.state)?;
         Ok(ParamVec::from_network(&state.net))
+    }
+
+    fn diverged(&self) -> bool {
+        self.state.as_ref().is_some_and(|s| s.diverged)
     }
 }

@@ -264,12 +264,19 @@ pub(crate) fn train_chain(
 }
 
 /// A replica's upload to the AP: its full-model parameters as the AP
-/// decoded them, the client that sent them (whose AP receives them), and
-/// its training [`Pass`].
+/// decoded them, the client that sent them (whose AP receives them), the
+/// number of the round's slots whose work it carries (its chain's
+/// members), and its training [`Pass`].
 pub(crate) struct Upload {
     pub(crate) params: ParamVec,
     pub(crate) client: usize,
+    pub(crate) slots: usize,
     pub(crate) pass: Pass,
+}
+
+/// Whether every value is finite.
+pub(crate) fn all_finite(values: &[f32]) -> bool {
+    values.iter().all(|v| v.is_finite())
 }
 
 /// Run state of the schemes whose replicas start each round from one
@@ -291,6 +298,9 @@ pub(crate) struct FedAvgState {
     ws: Workspace,
     /// Per-client EF21 model-codec residuals, carried across rounds.
     pub(crate) feedback: FeedbackStore,
+    /// Whether an aggregation has received no finite upload: the run
+    /// has diverged.
+    pub(crate) diverged: bool,
 }
 
 impl FedAvgState {
@@ -306,6 +316,7 @@ impl FedAvgState {
             steps: ctx.steps_per_client(),
             ws: Workspace::new(),
             feedback: FeedbackStore::default(),
+            diverged: false,
         })
     }
 
@@ -316,40 +327,90 @@ impl FedAvgState {
         Ok(net)
     }
 
-    /// The aggregation tail: writes the uploads' EF residuals back in
-    /// upload order, then merges their full-model parameters into the
-    /// next global by two-tier FedAvg over the AP topology, weighted by
-    /// trained samples (bit-identical to flat FedAvg — see
-    /// [`crate::aggregate`]). FedAvg is element-wise, so merging joined
-    /// split halves is bit-identical to merging each half on its own,
-    /// and a lone upload (SL's chain) becomes the global exactly.
-    /// Returns the round's mean training loss.
+    /// The aggregation tail: merges the uploads' full-model parameters
+    /// into the next global by two-tier FedAvg over the AP topology,
+    /// weighted by trained samples (bit-identical to flat FedAvg — see
+    /// [`crate::aggregate`]), then writes the merged uploads' EF
+    /// residuals back in upload order. FedAvg is element-wise, so
+    /// merging joined split halves is bit-identical to merging each half
+    /// on its own, and a lone upload (SL's chain) becomes the global
+    /// exactly.
+    ///
+    /// An upload holding a non-finite parameter is left out of the merge
+    /// and its slots count in the round's `lost_clients`; `quorum` then
+    /// judges whether the remaining usable slots still clear the round's
+    /// quorum. Detection costs one finiteness pass over the merged model:
+    /// a FedAvg of finite uploads is finite, so the uploads are scanned
+    /// only when that pass fails. A round that keeps no quorum leaves the
+    /// global model as it was and records `quorum_met: false`; one with
+    /// no finite upload at all also marks the run [`Self::diverged`].
+    ///
+    /// Returns the round's mean training loss and whether the uploads
+    /// were merged.
     pub(crate) fn aggregate(
         &mut self,
         ctx: &TrainContext,
         uploads: Vec<Upload>,
         round: u64,
-    ) -> Result<f64> {
+        quorum: impl Fn(usize) -> bool,
+        latency: &mut RoundLatency,
+    ) -> Result<(f64, bool)> {
+        // Each upload's parameters, apart from its (AP, slots, pass).
         let mut snapshots = Vec::with_capacity(uploads.len());
-        let mut weights = Vec::with_capacity(uploads.len());
-        let mut aps = Vec::with_capacity(uploads.len());
+        let mut carried = Vec::with_capacity(uploads.len());
         let mut loss_sum = 0.0f64;
         let mut step_sum = 0usize;
         for upload in uploads {
-            aps.push(ctx.env.ap_of(upload.client, round)?);
-            weights.push(upload.pass.samples as f64);
             loss_sum += upload.pass.loss_sum;
             step_sum += upload.pass.steps;
-            for (key, residual) in upload.pass.residuals {
-                self.feedback.store(key, residual);
-            }
+            let ap = ctx.env.ap_of(upload.client, round)?;
+            carried.push((ap, upload.slots, upload.pass));
             snapshots.push(upload.params);
         }
-        let tree = aggregate_tree(&snapshots, &weights, &aps, &mut self.ws)?;
-        self.global.replace(tree.params);
-        Ok(loss_sum / step_sum.max(1) as f64)
+        let train_loss = loss_sum / step_sum.max(1) as f64;
+        let mut merged = self.merge(&snapshots, &carried)?;
+        if !all_finite(merged.values()) {
+            self.ws.give(merged.into_values());
+            let slots = |c: &[Carried]| c.iter().map(|&(_, slots, _)| slots).sum::<usize>();
+            let scheduled = slots(&carried);
+            (snapshots, carried) = snapshots
+                .into_iter()
+                .zip(carried)
+                .filter(|(params, _)| all_finite(params.values()))
+                .unzip();
+            let usable = slots(&carried);
+            latency.faults.lost_clients += (scheduled - usable) as u32;
+            self.diverged |= usable == 0;
+            if !quorum(usable) {
+                latency.faults.quorum_met = false;
+                return Ok((train_loss, false));
+            }
+            merged = self.merge(&snapshots, &carried)?;
+        }
+        self.global.replace(merged);
+        for (_, _, pass) in carried {
+            for (key, residual) in pass.residuals {
+                self.feedback.store(key, residual);
+            }
+        }
+        Ok((train_loss, true))
+    }
+
+    /// Two-tier FedAvg of `snapshots` over their uploads' APs, weighted
+    /// by trained samples.
+    fn merge(&mut self, snapshots: &[ParamVec], carried: &[Carried]) -> Result<ParamVec> {
+        let weights: Vec<f64> = carried
+            .iter()
+            .map(|(_, _, pass)| pass.samples as f64)
+            .collect();
+        let aps: Vec<usize> = carried.iter().map(|&(ap, ..)| ap).collect();
+        Ok(aggregate_tree(snapshots, &weights, &aps, &mut self.ws)?.params)
     }
 }
+
+/// What an upload carries besides its parameters: the AP that receives
+/// it, the slots whose work it holds, and its training [`Pass`].
+type Carried = (usize, usize, Pass);
 
 /// One epoch of split training over a shard: client forward → **uplink
 /// codec** → server forward → loss → server backward → **downlink
@@ -570,13 +631,23 @@ mod tests {
                 .map(|client| Upload {
                     params: state.global.get().clone(),
                     client,
+                    slots: 1,
                     pass: Pass {
                         samples: 1 + client,
                         ..Pass::default()
                     },
                 })
                 .collect();
-            state.aggregate(&ctx, uploads, round).unwrap();
+            let mut latency = RoundLatency {
+                duration: gsfl_wireless::units::Seconds::new(0.0),
+                bytes: Default::default(),
+                client_energy_j: 0.0,
+                breakdown: Default::default(),
+                faults: Default::default(),
+            };
+            state
+                .aggregate(&ctx, uploads, round, |_| true, &mut latency)
+                .unwrap();
             assert!(
                 state.ws.pooled() <= 1,
                 "round {round}: {} pooled buffers",

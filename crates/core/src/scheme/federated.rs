@@ -69,7 +69,7 @@ impl Scheme for Federated {
                 }
             })
             .collect();
-        let (latency, fate) = fl_round_recovered(
+        let (mut latency, fate) = fl_round_recovered(
             ctx.env.as_ref(),
             &costs,
             &round_steps,
@@ -141,20 +141,31 @@ impl Scheme for Federated {
             Ok(Upload {
                 params,
                 client: c,
+                slots: 1,
                 pass,
             })
         })?;
-        let train_loss = state.aggregate(ctx, uploads, round as u64)?;
+        let (train_loss, aggregated) = state.aggregate(
+            ctx,
+            uploads,
+            round as u64,
+            |usable| recovery.usable_quorum_met(&fate, usable),
+            &mut latency,
+        )?;
         state.plans.observe_outcome(round as u64, &plan, &latency);
         Ok(RoundOutcome {
             latency,
             train_loss,
-            aggregated: true,
+            aggregated,
         })
     }
 
     fn global_params(&self) -> Result<ParamVec> {
         let state = require_state(&self.state)?;
         Ok(state.global.get().clone())
+    }
+
+    fn diverged(&self) -> bool {
+        self.state.as_ref().is_some_and(|s| s.diverged)
     }
 }

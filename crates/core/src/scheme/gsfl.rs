@@ -149,7 +149,7 @@ impl Scheme for Gsfl {
         // keeps its chain's finished prefix).
         let planned: Vec<usize> = round_groups.iter().flatten().copied().collect();
         let recovery = ctx.round_recovery(round, &planned, &available);
-        let (latency, fate) = if one_chain {
+        let (mut latency, fate) = if one_chain {
             sl_round_recovered(
                 ctx.env.as_ref(),
                 &costs,
@@ -222,6 +222,7 @@ impl Scheme for Gsfl {
                 params: join_params(&client_half, &ParamVec::from_network(&replica.server)),
                 // The group's last member uploads through its AP.
                 client: members[members.len() - 1].0,
+                slots: members.len(),
                 pass,
             })
         };
@@ -239,17 +240,27 @@ impl Scheme for Gsfl {
                 })?
             }
         };
-        let train_loss = state.aggregate(ctx, uploads, round)?;
+        let (train_loss, merged) = state.aggregate(
+            ctx,
+            uploads,
+            round,
+            |usable| recovery.usable_quorum_met(&fate, usable),
+            &mut latency,
+        )?;
         state.plans.observe_outcome(round, &plan, &latency);
         Ok(RoundOutcome {
             latency,
             train_loss,
-            aggregated: !one_chain,
+            aggregated: merged && !one_chain,
         })
     }
 
     fn global_params(&self) -> Result<ParamVec> {
         let state = require_state(&self.state)?;
         Ok(state.global.get().clone())
+    }
+
+    fn diverged(&self) -> bool {
+        self.state.as_ref().is_some_and(|s| s.diverged)
     }
 }

@@ -3,8 +3,10 @@
 //! Every scheme implements the [`Scheme`] trait — per-run state built by
 //! [`Scheme::init`], one training round per [`Scheme::run_round`] — and
 //! the shared round loop (eval cadence, recording, stopping) lives in the
-//! generic session driver ([`crate::runner::Session`]). New schemes
-//! plug in through [`SchemeRegistry`] without touching the driver.
+//! generic session driver ([`crate::runner::Session`]). A new scheme
+//! plugs in as a [`Scheme`] value
+//! ([`crate::runner::Runner::session_scheme`]) without touching the
+//! driver; [`SchemeKind`] names and builds the five built-in ones.
 
 mod centralized;
 mod common;
@@ -79,6 +81,14 @@ pub trait Scheme: Send {
     ///
     /// Fails if [`Scheme::init`] has not run.
     fn global_params(&self) -> Result<ParamVec>;
+
+    /// Whether training has diverged: a round left no finite model to
+    /// go on from (no finite upload reached the aggregation, or CL's own
+    /// model turned non-finite). The session driver then stops with
+    /// [`crate::stop::StopReason::Diverged`].
+    fn diverged(&self) -> bool {
+        false
+    }
 
     /// Bytes of model state resident on the edge server while this
     /// scheme runs (the paper's §I storage argument).
@@ -171,78 +181,6 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
-/// A name-indexed registry of scheme constructors.
-///
-/// Bench binaries and tests dispatch by name through the registry so new
-/// schemes (or external experiment drivers) need only one registration
-/// point. [`SchemeRegistry::builtin`] pre-registers all five paper
-/// schemes.
-pub struct SchemeRegistry {
-    entries: Vec<(&'static str, SchemeConstructor)>,
-}
-
-/// A boxed constructor producing fresh scheme instances.
-type SchemeConstructor = Box<dyn Fn() -> Box<dyn Scheme> + Send + Sync>;
-
-impl SchemeRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        SchemeRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry holding all five built-in schemes, in
-    /// [`SchemeKind::all`] order.
-    pub fn builtin() -> Self {
-        let mut reg = SchemeRegistry::new();
-        for kind in SchemeKind::all() {
-            reg.register(kind.name(), move || kind.scheme());
-        }
-        reg
-    }
-
-    /// Registers (or replaces) a scheme constructor under `name`.
-    pub fn register(
-        &mut self,
-        name: &'static str,
-        constructor: impl Fn() -> Box<dyn Scheme> + Send + Sync + 'static,
-    ) {
-        if let Some(entry) = self.entries.iter_mut().find(|(n, _)| *n == name) {
-            entry.1 = Box::new(constructor);
-        } else {
-            self.entries.push((name, Box::new(constructor)));
-        }
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|(n, _)| *n).collect()
-    }
-
-    /// Builds a fresh scheme instance by name.
-    pub fn create(&self, name: &str) -> Option<Box<dyn Scheme>> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, f)| f())
-    }
-}
-
-impl Default for SchemeRegistry {
-    fn default() -> Self {
-        SchemeRegistry::builtin()
-    }
-}
-
-impl std::fmt::Debug for SchemeRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchemeRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,29 +206,5 @@ mod tests {
             assert_eq!(scheme.name(), kind.name());
         }
         assert_eq!(SchemeKind::from_name("nope"), None);
-    }
-
-    #[test]
-    fn registry_builds_every_builtin() {
-        let reg = SchemeRegistry::builtin();
-        assert_eq!(reg.names().len(), 5);
-        for kind in SchemeKind::all() {
-            let scheme = reg.create(kind.name()).expect("registered");
-            assert_eq!(scheme.kind(), kind);
-        }
-        assert!(reg.create("unknown").is_none());
-    }
-
-    #[test]
-    fn registry_register_replaces() {
-        let mut reg = SchemeRegistry::builtin();
-        reg.register("gsfl", || Box::new(Gsfl::new()));
-        assert_eq!(reg.names().len(), 5, "replacement must not duplicate");
-        reg.register("custom", || Box::new(Centralized::new()));
-        assert_eq!(reg.names().len(), 6);
-        assert_eq!(
-            reg.create("custom").unwrap().kind(),
-            SchemeKind::Centralized
-        );
     }
 }

@@ -38,6 +38,11 @@ pub enum StopReason {
         /// Rounds without sufficient improvement.
         stalled_rounds: usize,
     },
+    /// Training diverged: the round left no finite model to go on from.
+    Diverged {
+        /// The round whose updates were all non-finite.
+        round: usize,
+    },
 }
 
 impl std::fmt::Display for StopReason {
@@ -65,6 +70,12 @@ impl std::fmt::Display for StopReason {
                 f,
                 "loss plateau at round {round} ({stalled_rounds} rounds without improvement)"
             ),
+            StopReason::Diverged { round } => {
+                write!(
+                    f,
+                    "training diverged at round {round}: no finite model update"
+                )
+            }
         }
     }
 }

@@ -14,14 +14,14 @@ pub(crate) fn cache_tensor(slot: &mut Option<Tensor>, src: &Tensor) {
     }
 }
 
-/// Whether a forward pass is for training (caches activations, applies
-/// dropout, uses batch statistics) or evaluation.
+/// Whether a forward pass is for training (caches what the backward pass
+/// needs) or evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// Training: cache activations for backward, stochastic layers active.
+    /// Training: cache activations for backward.
     #[default]
     Train,
-    /// Inference: no caching requirements, deterministic behaviour.
+    /// Inference: no caching requirements.
     Eval,
 }
 

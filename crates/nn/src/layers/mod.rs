@@ -1,17 +1,14 @@
-//! Concrete layer implementations.
+//! Concrete layer implementations: the five layer types the DeepThin CNN
+//! and the MLP are built from.
 
 mod activation;
-mod batchnorm;
 mod conv2d;
 mod dense;
-mod dropout;
 mod flatten;
 mod pool;
 
-pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
-pub use batchnorm::BatchNorm2d;
+pub use activation::Relu;
 pub use conv2d::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
-pub use pool::{AvgPool2d, MaxPool2d};
+pub use pool::MaxPool2d;

@@ -1,9 +1,7 @@
 use crate::flops::LayerFlops;
 use crate::layer::{Layer, Mode};
 use crate::{NnError, Parameter, Result};
-use gsfl_tensor::pool::{
-    avgpool2d_backward_ws, avgpool2d_forward_ws, maxpool2d_backward_ws, maxpool2d_forward_ws,
-};
+use gsfl_tensor::pool::{maxpool2d_backward_ws, maxpool2d_forward_ws};
 use gsfl_tensor::workspace::Workspace;
 use gsfl_tensor::Tensor;
 
@@ -126,101 +124,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Average-pooling layer over square windows.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    window: usize,
-    stride: usize,
-    cached_input_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool with the given window and stride.
-    pub fn new(window: usize, stride: usize) -> Self {
-        AvgPool2d {
-            window,
-            stride,
-            cached_input_dims: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn name(&self) -> String {
-        format!("avgpool2d({}×{0},s{})", self.window, self.stride)
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Result<Tensor> {
-        let out = avgpool2d_forward_ws(input, self.window, self.stride, ws)?;
-        if mode == Mode::Train {
-            self.cached_input_dims = Some(input.dims().to_vec());
-        }
-        Ok(out)
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        let dims = self
-            .cached_input_dims
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
-        Ok(avgpool2d_backward_ws(
-            grad_out,
-            dims,
-            self.window,
-            self.stride,
-            ws,
-        )?)
-    }
-
-    fn params(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
-    }
-
-    fn output_shape(&self, input_dims: &[usize]) -> Result<Vec<usize>> {
-        if input_dims.len() != 4 {
-            return Err(NnError::Config(format!(
-                "avgpool2d expects NCHW, got {input_dims:?}"
-            )));
-        }
-        let g = gsfl_tensor::conv::ConvGeom::new(
-            input_dims[2],
-            input_dims[3],
-            self.window,
-            self.window,
-            self.stride,
-            0,
-        )?;
-        Ok(vec![input_dims[0], input_dims[1], g.out_h, g.out_w])
-    }
-
-    fn flops(&self, input_dims: &[usize]) -> Result<LayerFlops> {
-        let out = self.output_shape(input_dims)?;
-        let adds = (out[1] * out[2] * out[3]) as u64 * (self.window * self.window) as u64;
-        Ok(LayerFlops::elementwise(adds))
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(AvgPool2d {
-            cached_input_dims: None,
-            ..self.clone()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,21 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn avgpool_forward_backward() {
-        let mut p = AvgPool2d::new(2, 2);
-        let x = Tensor::ones(&[1, 1, 4, 4]);
-        let y = p.forward(&x, Mode::Train).unwrap();
-        assert!(y.data().iter().all(|&v| (v - 1.0).abs() < 1e-6));
-        let gx = p.backward(&Tensor::ones(y.dims())).unwrap();
-        assert!((gx.sum() - 4.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn backward_before_forward_errors() {
         let mut p = MaxPool2d::new(2, 2);
         assert!(p.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
-        let mut a = AvgPool2d::new(2, 2);
-        assert!(a.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //!
 //! * [`layer::Layer`] — the forward/backward layer contract with parameter,
 //!   shape and FLOPs accounting,
-//! * [`layers`] — dense, conv2d, ReLU family, pooling, flatten, dropout,
-//!   batch-norm,
+//! * [`layers`] — the five layer types the models are built from: dense,
+//!   conv2d, ReLU, max-pooling and flatten,
 //! * [`Sequential`] — a layer pipeline that can be **split at any cut
 //!   layer** into a client-side and a server-side network
 //!   ([`split::SplitNetwork`]), the core mechanic of split learning,
-//! * [`loss`] — softmax cross-entropy and MSE with analytic gradients,
-//! * [`optim`] — SGD with momentum, weight decay and LR schedules,
+//! * [`loss`] — softmax cross-entropy with its analytic gradient,
+//! * [`optim`] — SGD with momentum,
 //! * [`params::ParamVec`] — flattened parameter vectors for FedAvg
 //!   aggregation and wire-size accounting,
 //! * [`codec`] — payload codecs (fp16, stochastic int quantization,

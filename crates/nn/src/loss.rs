@@ -1,16 +1,15 @@
-//! Loss functions with analytic gradients.
+//! Softmax cross-entropy, the one loss the schemes train with, with its
+//! analytic gradient.
 //!
-//! The softmax cross-entropy hot path is *fused*: one pass computes the
-//! stabilized exponentials directly into the gradient buffer (no
-//! intermediate softmax tensor) and a SIMD-dispatched pass scales them
-//! into the gradient. The fused form stores the same `exp(v − max)`
-//! values the unfused form recomputed, reduces the denominator in the
-//! same ascending order, and scales with the same `(e / denom) · 1/n`
-//! expression — so it is bit-identical to the historical two-pass
-//! kernel on every SIMD tier.
+//! The hot path is *fused*: one pass computes the stabilized
+//! exponentials directly into the gradient buffer (no intermediate
+//! softmax tensor) and a second pass scales them into the gradient. The
+//! fused form stores the same `exp(v − max)` values the unfused form
+//! recomputed, reduces the denominator in the same ascending order, and
+//! scales with the same `(e / denom) · 1/n` expression — so it is
+//! bit-identical to the historical two-pass kernel.
 
 use crate::{NnError, Result};
-use gsfl_tensor::simd::{self, Isa};
 use gsfl_tensor::{Dispatch, Tensor};
 
 /// Output of a loss computation: the scalar loss and the gradient with
@@ -59,23 +58,16 @@ impl SoftmaxCrossEntropy {
     /// Returns [`NnError::LabelMismatch`] / [`NnError::LabelOutOfRange`] on
     /// malformed labels, or a shape error for non-2-D logits.
     pub fn compute(&self, logits: &Tensor, labels: &[usize]) -> Result<LossOutput> {
-        let d = gsfl_tensor::dispatch();
-        if d == Dispatch::Reference {
+        if gsfl_tensor::dispatch() == Dispatch::Reference {
             return self.compute_unfused(logits, labels);
         }
-        self.compute_with_isa(d.isa(), logits, labels)
+        self.compute_fused(logits, labels)
     }
 
-    /// Fused forward/backward pinned to an explicit ISA tier (benchmark
-    /// and equivalence-test hook). Bit-identical to
-    /// [`Self::compute_unfused`] on every tier.
+    /// The fused forward/backward (benchmark and equivalence-test hook).
+    /// Bit-identical to [`Self::compute_unfused`].
     #[doc(hidden)]
-    pub fn compute_with_isa(
-        &self,
-        isa: Isa,
-        logits: &Tensor,
-        labels: &[usize],
-    ) -> Result<LossOutput> {
+    pub fn compute_fused(&self, logits: &Tensor, labels: &[usize]) -> Result<LossOutput> {
         let (n, c) = logits.shape().as_matrix().map_err(NnError::from)?;
         if labels.len() != n {
             return Err(NnError::LabelMismatch {
@@ -94,7 +86,7 @@ impl SoftmaxCrossEntropy {
                 return Err(NnError::LabelOutOfRange { label, classes: c });
             }
             let row = &logits.data()[r * c..(r + 1) * c];
-            let max = simd::reduce_max(isa, row, f32::NEG_INFINITY);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             // One pass: store each stabilized exponential straight into
             // the gradient row while summing the denominator in the
             // same ascending order as the unfused kernel.
@@ -109,7 +101,9 @@ impl SoftmaxCrossEntropy {
             total_loss += -(row[label] - max - denom.ln());
             // grow[j] = (e / denom) · 1/n — the exact expression the
             // unfused kernel evaluates per element.
-            simd::div_then_mul(isa, grow, denom, inv_n);
+            for g in grow.iter_mut() {
+                *g = (*g / denom) * inv_n;
+            }
             grow[label] -= inv_n;
         }
         Ok(LossOutput {
@@ -159,57 +153,6 @@ impl SoftmaxCrossEntropy {
         Ok(LossOutput {
             loss: total_loss * inv_n,
             grad_logits: Tensor::from_vec(grad, &[n, c])?,
-        })
-    }
-
-    /// Softmax probabilities (inference helper).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error for non-2-D logits.
-    pub fn probabilities(&self, logits: &Tensor) -> Result<Tensor> {
-        let (n, c) = logits.shape().as_matrix().map_err(NnError::from)?;
-        let mut out = vec![0.0f32; n * c];
-        for r in 0..n {
-            let row = &logits.data()[r * c..(r + 1) * c];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0f32;
-            for &v in row {
-                denom += (v - max).exp();
-            }
-            for (j, &v) in row.iter().enumerate() {
-                out[r * c + j] = (v - max).exp() / denom;
-            }
-        }
-        Ok(Tensor::from_vec(out, &[n, c])?)
-    }
-}
-
-/// Mean squared error against a target tensor of the same shape.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeanSquaredError {
-    _priv: (),
-}
-
-impl MeanSquaredError {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        MeanSquaredError { _priv: () }
-    }
-
-    /// Computes `mean((pred − target)²)` and its gradient
-    /// `2(pred − target)/numel`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when `pred` and `target` disagree.
-    pub fn compute(&self, pred: &Tensor, target: &Tensor) -> Result<LossOutput> {
-        let diff = pred.sub(target)?;
-        let n = diff.numel().max(1) as f32;
-        let loss = diff.data().iter().map(|d| d * d).sum::<f32>() / n;
-        Ok(LossOutput {
-            loss,
-            grad_logits: diff.scale(2.0 / n),
         })
     }
 }
@@ -281,32 +224,5 @@ mod tests {
             SoftmaxCrossEntropy::new().compute(&logits, &[0, 3]),
             Err(NnError::LabelOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn probabilities_are_normalized() {
-        let logits = Tensor::from_fn(&[2, 4], |i| i as f32);
-        let p = SoftmaxCrossEntropy::new().probabilities(&logits).unwrap();
-        for r in 0..2 {
-            let s: f32 = p.data()[r * 4..(r + 1) * 4].iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn mse_on_equal_tensors_is_zero() {
-        let a = Tensor::from_fn(&[2, 2], |i| i as f32);
-        let out = MeanSquaredError::new().compute(&a, &a).unwrap();
-        assert_eq!(out.loss, 0.0);
-        assert!(out.grad_logits.data().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn mse_gradient_direction() {
-        let pred = Tensor::from_vec(vec![1.0], &[1, 1]).unwrap();
-        let target = Tensor::from_vec(vec![0.0], &[1, 1]).unwrap();
-        let out = MeanSquaredError::new().compute(&pred, &target).unwrap();
-        assert!(out.grad_logits.data()[0] > 0.0); // move pred down
-        assert_eq!(out.loss, 1.0);
     }
 }

@@ -75,75 +75,6 @@ pub fn evaluate(
     })
 }
 
-/// A square confusion matrix: `m[true][pred]` counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix for `classes` classes.
-    pub fn new(classes: usize) -> Self {
-        ConfusionMatrix {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Records one `(true, predicted)` observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::LabelOutOfRange`] for labels ≥ `classes`.
-    pub fn record(&mut self, truth: usize, pred: usize) -> Result<()> {
-        if truth >= self.classes {
-            return Err(NnError::LabelOutOfRange {
-                label: truth,
-                classes: self.classes,
-            });
-        }
-        if pred >= self.classes {
-            return Err(NnError::LabelOutOfRange {
-                label: pred,
-                classes: self.classes,
-            });
-        }
-        self.counts[truth * self.classes + pred] += 1;
-        Ok(())
-    }
-
-    /// Count for a `(true, predicted)` cell.
-    pub fn count(&self, truth: usize, pred: usize) -> u64 {
-        self.counts[truth * self.classes + pred]
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (diagonal mass over total).
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Per-class recall (diagonal over row sum), `None` for unseen classes.
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let row: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f64 / row as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,27 +114,5 @@ mod tests {
         let images = Tensor::zeros(&[2, 2]);
         evaluate(&mut net, &images, &[0, 1], 2).unwrap();
         assert_eq!(net.mode(), Mode::Train);
-    }
-
-    #[test]
-    fn confusion_matrix_accuracy_and_recall() {
-        let mut m = ConfusionMatrix::new(2);
-        m.record(0, 0).unwrap();
-        m.record(0, 0).unwrap();
-        m.record(0, 1).unwrap();
-        m.record(1, 1).unwrap();
-        assert_eq!(m.total(), 4);
-        assert!((m.accuracy() - 0.75).abs() < 1e-9);
-        assert!((m.recall(0).unwrap() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(m.recall(1).unwrap(), 1.0);
-        assert!(m.record(2, 0).is_err());
-        assert!(m.record(0, 5).is_err());
-    }
-
-    #[test]
-    fn empty_matrix_accuracy_zero() {
-        let m = ConfusionMatrix::new(3);
-        assert_eq!(m.accuracy(), 0.0);
-        assert!(m.recall(1).is_none());
     }
 }

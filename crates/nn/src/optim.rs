@@ -1,55 +1,10 @@
-//! Optimizers and learning-rate schedules.
+//! Stochastic gradient descent with momentum: the optimizer every
+//! scheme steps its client and server halves with.
 
 use crate::{Parameter, Result};
 use gsfl_tensor::Tensor;
 
-/// Learning-rate schedule evaluated per round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// Multiply by `factor` every `every` rounds.
-    StepDecay {
-        /// Rounds between decays.
-        every: usize,
-        /// Multiplicative factor per decay (e.g. 0.5).
-        factor: f32,
-    },
-    /// Cosine annealing from the base LR to `final_fraction·base` over
-    /// `total_rounds`.
-    Cosine {
-        /// Length of the annealing horizon.
-        total_rounds: usize,
-        /// LR floor as a fraction of the base LR.
-        final_fraction: f32,
-    },
-}
-
-impl LrSchedule {
-    /// The multiplier applied to the base LR at `round` (0-based).
-    pub fn multiplier(&self, round: usize) -> f32 {
-        match *self {
-            LrSchedule::Constant => 1.0,
-            LrSchedule::StepDecay { every, factor } => match round.checked_div(every) {
-                None => 1.0,
-                Some(decays) => factor.powi(decays as i32),
-            },
-            LrSchedule::Cosine {
-                total_rounds,
-                final_fraction,
-            } => {
-                if total_rounds == 0 {
-                    return 1.0;
-                }
-                let t = (round.min(total_rounds) as f32) / total_rounds as f32;
-                let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-                final_fraction + (1.0 - final_fraction) * cos
-            }
-        }
-    }
-}
-
-/// Stochastic gradient descent with momentum and weight decay.
+/// Stochastic gradient descent with classical momentum.
 ///
 /// Velocity buffers are keyed by parameter position, so an optimizer
 /// instance must always be stepped with the same network (this is how each
@@ -72,11 +27,8 @@ impl LrSchedule {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
-    base_lr: f32,
+    lr: f32,
     momentum: f32,
-    weight_decay: f32,
-    schedule: LrSchedule,
-    round: usize,
     velocities: Vec<Tensor>,
 }
 
@@ -84,11 +36,8 @@ impl Sgd {
     /// Plain SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
         Sgd {
-            base_lr: lr,
+            lr,
             momentum: 0.0,
-            weight_decay: 0.0,
-            schedule: LrSchedule::Constant,
-            round: 0,
             velocities: Vec::new(),
         }
     }
@@ -97,33 +46,6 @@ impl Sgd {
     pub fn with_momentum(mut self, momentum: f32) -> Self {
         self.momentum = momentum;
         self
-    }
-
-    /// Adds L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
-    /// Sets the LR schedule.
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// The LR that will be used at the current round.
-    pub fn current_lr(&self) -> f32 {
-        self.base_lr * self.schedule.multiplier(self.round)
-    }
-
-    /// Advances the schedule by one round (call once per training round).
-    pub fn advance_round(&mut self) {
-        self.round += 1;
-    }
-
-    /// Current round counter.
-    pub fn round(&self) -> usize {
-        self.round
     }
 
     /// Applies one update step using the accumulated gradients.
@@ -137,7 +59,7 @@ impl Sgd {
     /// Propagates tensor shape errors (which indicate the optimizer was
     /// stepped with a different network than it was warmed up on).
     pub fn step(&mut self, params: &mut [&mut Parameter]) -> Result<()> {
-        let lr = self.current_lr();
+        let lr = self.lr;
         if self.velocities.is_empty() && self.momentum != 0.0 {
             self.velocities = params
                 .iter()
@@ -149,12 +71,6 @@ impl Sgd {
         }
         for (i, p) in params.iter_mut().enumerate() {
             let (value, grad) = p.value_and_grad_mut();
-            if self.weight_decay != 0.0 {
-                // grad ← grad + wd·w
-                for (g, &w) in grad.data_mut().iter_mut().zip(value.data()) {
-                    *g += self.weight_decay * w;
-                }
-            }
             if self.momentum != 0.0 {
                 let v = &mut self.velocities[i];
                 if !v.shape().same_dims(grad.shape()) {
@@ -192,10 +108,6 @@ impl Sgd {
     /// as [`Sgd::step`].
     fn step_legacy(&mut self, params: &mut [&mut Parameter], lr: f32) -> Result<()> {
         for (i, p) in params.iter_mut().enumerate() {
-            if self.weight_decay != 0.0 {
-                let wd_term = p.value().scale(self.weight_decay);
-                p.grad_mut().add_assign_t(&wd_term)?;
-            }
             if self.momentum != 0.0 {
                 let v = &mut self.velocities[i];
                 v.scale_assign(self.momentum);
@@ -250,51 +162,5 @@ mod tests {
             opt_mom.step(&mut [&mut mom]).unwrap();
         }
         assert!(mom.value().data()[0] < plain.value().data()[0]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights_with_zero_grad() {
-        let mut p = Parameter::new(Tensor::from_vec(vec![1.0], &[1]).unwrap());
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        p.zero_grad();
-        opt.step(&mut [&mut p]).unwrap();
-        assert!((p.value().data()[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn step_decay_schedule() {
-        let s = LrSchedule::StepDecay {
-            every: 10,
-            factor: 0.5,
-        };
-        assert_eq!(s.multiplier(0), 1.0);
-        assert_eq!(s.multiplier(9), 1.0);
-        assert_eq!(s.multiplier(10), 0.5);
-        assert_eq!(s.multiplier(25), 0.25);
-    }
-
-    #[test]
-    fn cosine_schedule_endpoints() {
-        let s = LrSchedule::Cosine {
-            total_rounds: 100,
-            final_fraction: 0.1,
-        };
-        assert!((s.multiplier(0) - 1.0).abs() < 1e-6);
-        assert!((s.multiplier(100) - 0.1).abs() < 1e-6);
-        assert!((s.multiplier(1000) - 0.1).abs() < 1e-6);
-        let mid = s.multiplier(50);
-        assert!(mid > 0.1 && mid < 1.0);
-    }
-
-    #[test]
-    fn advance_round_changes_lr() {
-        let mut opt = Sgd::new(1.0).with_schedule(LrSchedule::StepDecay {
-            every: 1,
-            factor: 0.5,
-        });
-        assert_eq!(opt.current_lr(), 1.0);
-        opt.advance_round();
-        assert_eq!(opt.current_lr(), 0.5);
-        assert_eq!(opt.round(), 1);
     }
 }

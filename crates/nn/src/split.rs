@@ -8,7 +8,7 @@
 //! *smashed gradient*, which the client feeds to `client.backward`.
 
 use crate::{NnError, Result, Sequential};
-use gsfl_tensor::{io, Tensor};
+use gsfl_tensor::io;
 
 /// A model split into a client half and a server half at a cut layer.
 #[derive(Debug, Clone)]
@@ -78,52 +78,11 @@ impl SplitNetwork {
     }
 }
 
-/// Smashed data in transit: the cut-layer activations plus label metadata
-/// the server needs to compute the loss.
-///
-/// In the paper's protocol the client sends the smashed data *and* the
-/// labels of the mini-batch to the AP (label sharing, as in SplitFed); the
-/// server-side model computes predictions and the loss.
-#[derive(Debug, Clone)]
-pub struct SmashedData {
-    /// Activations at the cut layer, `[batch, …]`.
-    pub activations: Tensor,
-    /// Mini-batch labels (class indices).
-    pub labels: Vec<usize>,
-}
-
-impl SmashedData {
-    /// Creates smashed data, validating that the batch sizes agree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::LabelMismatch`] when `labels.len()` differs from
-    /// the leading dimension of `activations`.
-    pub fn new(activations: Tensor, labels: Vec<usize>) -> Result<Self> {
-        let batch = activations.dims().first().copied().unwrap_or(0);
-        if batch != labels.len() {
-            return Err(NnError::LabelMismatch {
-                logits_rows: batch,
-                labels: labels.len(),
-            });
-        }
-        Ok(SmashedData {
-            activations,
-            labels,
-        })
-    }
-
-    /// Wire size in bytes: activations (4 bytes/elem) + labels (4 bytes
-    /// each, as u32 class ids).
-    pub fn wire_bytes(&self) -> u64 {
-        io::payload_bytes(self.activations.numel()) + 4 * self.labels.len() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
+    use gsfl_tensor::Tensor;
 
     fn net() -> Sequential {
         let mut n = Sequential::new();
@@ -167,13 +126,5 @@ mod tests {
         let s = SplitNetwork::split(net(), 1).unwrap();
         let mut rejoined = s.into_joined();
         assert!(rejoined.forward(&x).unwrap().approx_eq(&y, 1e-6));
-    }
-
-    #[test]
-    fn smashed_data_validates_labels() {
-        let act = Tensor::zeros(&[3, 6]);
-        assert!(SmashedData::new(act.clone(), vec![0, 1]).is_err());
-        let ok = SmashedData::new(act, vec![0, 1, 2]).unwrap();
-        assert_eq!(ok.wire_bytes(), 4 * 18 + 12);
     }
 }

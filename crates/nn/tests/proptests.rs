@@ -279,8 +279,7 @@ proptest! {
     }
 }
 
-// SIMD-vs-scalar and fused-vs-unfused equivalence for the softmax
-// cross-entropy kernel ported onto the dispatch layer. Both pairs are
+// Fused-vs-unfused equivalence for the softmax cross-entropy kernel,
 // pinned bit-identical: the fused kernel stores the same `exp(v − max)`
 // values the unfused kernel recomputed, reduces the denominator in the
 // same ascending order, and scales with the same expression.
@@ -288,44 +287,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn fused_softmax_xent_is_bit_identical_across_isas(
-        n in 1usize..12,
-        c in 1usize..40,
-        seed in 0u64..1_000,
-    ) {
-        use gsfl_tensor::simd::Isa;
-        let logits = Tensor::from_fn(&[n, c], |i| {
-            (((i as u64).wrapping_mul(seed + 17) % 2000) as f32 - 1000.0) * 0.01
-        });
-        let labels: Vec<usize> = (0..n).map(|r| (r * 7 + seed as usize) % c).collect();
-        let loss_fn = SoftmaxCrossEntropy::new();
-        let fast = loss_fn.compute_with_isa(Isa::Avx2, &logits, &labels).unwrap();
-        let slow = loss_fn.compute_with_isa(Isa::Scalar, &logits, &labels).unwrap();
-        prop_assert_eq!(fast.loss.to_bits(), slow.loss.to_bits());
-        for (x, y) in fast.grad_logits.data().iter().zip(slow.grad_logits.data()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn fused_softmax_xent_matches_unfused_bitwise(
         n in 1usize..12,
         c in 1usize..40,
         seed in 0u64..1_000,
     ) {
-        use gsfl_tensor::simd::Isa;
         let logits = Tensor::from_fn(&[n, c], |i| {
             (((i as u64).wrapping_mul(seed + 41) % 2000) as f32 - 1000.0) * 0.01
         });
         let labels: Vec<usize> = (0..n).map(|r| (r * 11 + seed as usize) % c).collect();
         let loss_fn = SoftmaxCrossEntropy::new();
         let unfused = loss_fn.compute_unfused(&logits, &labels).unwrap();
-        for isa in [Isa::Scalar, Isa::Avx2] {
-            let fused = loss_fn.compute_with_isa(isa, &logits, &labels).unwrap();
-            prop_assert_eq!(fused.loss.to_bits(), unfused.loss.to_bits());
-            for (x, y) in fused.grad_logits.data().iter().zip(unfused.grad_logits.data()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
+        let fused = loss_fn.compute_fused(&logits, &labels).unwrap();
+        prop_assert_eq!(fused.loss.to_bits(), unfused.loss.to_bits());
+        for (x, y) in fused.grad_logits.data().iter().zip(unfused.grad_logits.data()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 }

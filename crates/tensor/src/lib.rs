@@ -10,7 +10,7 @@
 //!   matrix multiplication,
 //! * [`conv`] — whole-batch im2col/col2im 2-D convolution forward and
 //!   backward,
-//! * [`pool`] — max/average pooling forward and backward,
+//! * [`pool`] — max pooling forward and backward,
 //! * [`workspace`] — recycled scratch buffers so the training hot path
 //!   is allocation-free after warm-up,
 //! * [`threading`] — the process-wide thread budget every parallel path
@@ -19,8 +19,8 @@
 //!   kernels (test oracle and benchmark baseline), selectable at runtime
 //!   via [`kernel`],
 //! * [`simd`] — runtime-dispatched SIMD lanes (AVX2/FMA/F16C with a
-//!   scalar fallback, `GSFL_SIMD` override) behind the compute and
-//!   codec hot paths,
+//!   scalar fallback, `GSFL_SIMD` override) behind GEMM, the conv
+//!   weight gradient and the wire codecs,
 //! * [`init`] — He / Xavier / uniform initializers,
 //! * [`rng`] — deterministic hierarchical seed derivation so that every
 //!   client, group and round of a distributed experiment draws from an

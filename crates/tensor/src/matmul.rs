@@ -347,7 +347,7 @@ const DOT_LANES: usize = 8;
 /// over the bulk, folded in fixed lane order, remainder appended
 /// sequentially. Vectorizes where a sequential reduction cannot.
 #[inline]
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     let mut lanes = [0.0f32; DOT_LANES];
     let mut ca = a.chunks_exact(DOT_LANES);
     let mut cb = b.chunks_exact(DOT_LANES);

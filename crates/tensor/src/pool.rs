@@ -1,9 +1,9 @@
-//! Max and average pooling.
+//! Max pooling, the one pooling the models use.
 //!
 //! Each op has a plain entry point that allocates its result and a `_ws`
-//! twin that draws output buffers from a caller [`Workspace`] (and, for
-//! max-pool, refills a caller-owned argmax buffer) so the training hot
-//! path stays allocation-free after warm-up.
+//! twin that draws output buffers from a caller [`Workspace`] (and
+//! refills a caller-owned argmax buffer) so the training hot path stays
+//! allocation-free after warm-up.
 
 use crate::conv::ConvGeom;
 use crate::workspace::Workspace;
@@ -182,129 +182,6 @@ pub fn maxpool2d_backward_ws(
     Tensor::from_vec(gi, input_dims)
 }
 
-/// Shared average-pool kernel writing into a caller buffer.
-#[allow(clippy::too_many_arguments)]
-fn avgpool_core(
-    data: &[f32],
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    g: &ConvGeom,
-    window: usize,
-    stride: usize,
-    out: &mut [f32],
-) {
-    let out_plane = g.out_h * g.out_w;
-    let norm = 1.0 / (window * window) as f32;
-    for s in 0..n {
-        for ch in 0..c {
-            let base = (s * c + ch) * h * w;
-            let obase = (s * c + ch) * out_plane;
-            for oy in 0..g.out_h {
-                for ox in 0..g.out_w {
-                    let mut acc = 0.0f32;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            acc += data[base + (oy * stride + ky) * w + (ox * stride + kx)];
-                        }
-                    }
-                    out[obase + oy * g.out_w + ox] = acc * norm;
-                }
-            }
-        }
-    }
-}
-
-/// Average-pool forward.
-///
-/// # Errors
-///
-/// Returns a geometry error when the window does not fit the input.
-pub fn avgpool2d_forward(input: &Tensor, window: usize, stride: usize) -> Result<Tensor> {
-    let mut ws = Workspace::new();
-    avgpool2d_forward_ws(input, window, stride, &mut ws)
-}
-
-/// [`avgpool2d_forward`] drawing the output buffer from `ws`.
-///
-/// # Errors
-///
-/// Returns a geometry error when the window does not fit the input.
-pub fn avgpool2d_forward_ws(
-    input: &Tensor,
-    window: usize,
-    stride: usize,
-    ws: &mut Workspace,
-) -> Result<Tensor> {
-    let (n, c, h, w) = input.shape().as_nchw()?;
-    let g = ConvGeom::new(h, w, window, window, stride, 0)?;
-    let mut out = ws.take(n * c * g.out_h * g.out_w);
-    avgpool_core(input.data(), n, c, h, w, &g, window, stride, &mut out);
-    Tensor::from_vec(out, &[n, c, g.out_h, g.out_w])
-}
-
-/// Average-pool backward: spreads each output gradient uniformly over its
-/// window.
-///
-/// # Errors
-///
-/// Returns a geometry or shape error when dimensions are inconsistent.
-pub fn avgpool2d_backward(
-    grad_out: &Tensor,
-    input_dims: &[usize],
-    window: usize,
-    stride: usize,
-) -> Result<Tensor> {
-    let mut ws = Workspace::new();
-    avgpool2d_backward_ws(grad_out, input_dims, window, stride, &mut ws)
-}
-
-/// [`avgpool2d_backward`] drawing the gradient buffer from `ws`.
-///
-/// # Errors
-///
-/// Same conditions as [`avgpool2d_backward`].
-pub fn avgpool2d_backward_ws(
-    grad_out: &Tensor,
-    input_dims: &[usize],
-    window: usize,
-    stride: usize,
-    ws: &mut Workspace,
-) -> Result<Tensor> {
-    let (n, c, h, w) = crate::Shape::new(input_dims).as_nchw()?;
-    let g = ConvGeom::new(h, w, window, window, stride, 0)?;
-    let (gn, gc, gh, gw) = grad_out.shape().as_nchw()?;
-    if gn != n || gc != c || gh != g.out_h || gw != g.out_w {
-        return Err(TensorError::ShapeMismatch {
-            left: vec![n, c, g.out_h, g.out_w],
-            right: grad_out.dims().to_vec(),
-            op: "avgpool2d_backward",
-        });
-    }
-    let norm = 1.0 / (window * window) as f32;
-    let numel: usize = input_dims.iter().product();
-    let mut gi = ws.take_zeroed(numel);
-    let go = grad_out.data();
-    for s in 0..n {
-        for ch in 0..c {
-            let base = (s * c + ch) * h * w;
-            let obase = (s * c + ch) * g.out_h * g.out_w;
-            for oy in 0..g.out_h {
-                for ox in 0..g.out_w {
-                    let gval = go[obase + oy * g.out_w + ox] * norm;
-                    for ky in 0..window {
-                        for kx in 0..window {
-                            gi[base + (oy * stride + ky) * w + (ox * stride + kx)] += gval;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(gi, input_dims)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,20 +236,6 @@ mod tests {
         ws.recycle(y2);
         ws.recycle(g2);
         assert_eq!(ws.fresh_allocs(), allocs, "steady state must not allocate");
-    }
-
-    #[test]
-    fn avgpool_averages() {
-        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]).unwrap();
-        let p = avgpool2d_forward(&x, 2, 2).unwrap();
-        assert_eq!(p.data(), &[4.0]);
-    }
-
-    #[test]
-    fn avgpool_backward_spreads_uniformly() {
-        let g = Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]).unwrap();
-        let gx = avgpool2d_backward(&g, &[1, 1, 2, 2], 2, 2).unwrap();
-        assert_eq!(gx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]

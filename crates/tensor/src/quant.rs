@@ -1,14 +1,14 @@
 //! Quantization and sparsification kernels for the payload codec layer.
 //!
-//! Everything that crosses the simulated wireless link (smashed
-//! activations, cut-layer gradients, model deltas) can be encoded before
-//! transmission. These kernels implement the *lossy round trip* —
-//! encode immediately followed by decode — in place on an `f32` slice,
-//! which is exactly what the training schemes need: the receiver trains
-//! on the decoded tensor while the latency model charges airtime for the
-//! encoded size. All kernels are deterministic (stochastic rounding is
-//! seeded) and allocation-free in steady state (scratch comes from a
-//! [`Workspace`]).
+//! The wire codecs ([`crate::wire`]) encode everything that crosses the
+//! simulated wireless link (smashed activations, cut-layer gradients,
+//! model deltas); this module holds the pieces they share — the binary16
+//! converters and the TopK selection kernels — and, as their scalar
+//! references, the *lossy round trips* they must reproduce: encode
+//! immediately followed by decode, in place on an `f32` slice. The wire
+//! tests pin each codec's decoded tensor against its round trip. All
+//! kernels are deterministic (stochastic rounding is seeded) and
+//! allocation-free in steady state (scratch comes from a [`Workspace`]).
 //!
 //! * [`fp16_roundtrip`] — IEEE 754 binary16 with round-to-nearest-even.
 //! * [`intq_roundtrip`] — symmetric uniform quantization to `bits` bits
@@ -102,24 +102,9 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 }
 
 /// Rounds every element through IEEE binary16 and back, in place.
-/// Bit-identical on every SIMD tier: the hardware F16C path rounds
-/// exactly like the software converters, and NaN-carrying blocks fall
-/// back to software so payload canonicalization matches too.
 pub fn fp16_roundtrip(values: &mut [f32]) {
-    fp16_roundtrip_with_isa(dispatch().isa(), values);
-}
-
-/// [`fp16_roundtrip`] pinned to an explicit ISA tier (benchmark and
-/// equivalence-test hook).
-#[doc(hidden)]
-pub fn fp16_roundtrip_with_isa(isa: Isa, values: &mut [f32]) {
-    match isa {
-        Isa::Avx2 => simd::fp16_roundtrip_block(values),
-        Isa::Scalar => {
-            for v in values.iter_mut() {
-                *v = f16_bits_to_f32(f32_to_f16_bits(*v));
-            }
-        }
+    for v in values.iter_mut() {
+        *v = f16_bits_to_f32(f32_to_f16_bits(*v));
     }
 }
 
@@ -134,51 +119,25 @@ pub fn fp16_roundtrip_with_isa(isa: Isa, values: &mut [f32]) {
 ///
 /// `bits` must be in `2..=16`; an all-zero slice is returned unchanged.
 pub fn intq_roundtrip(values: &mut [f32], bits: u32, stream: u64) {
-    intq_roundtrip_with_isa(dispatch().isa(), values, bits, stream);
-}
-
-/// [`intq_roundtrip`] pinned to an explicit ISA tier (benchmark and
-/// equivalence-test hook). The vector tier pre-draws the stochastic
-/// rounding uniforms per [`CODEC_BLOCK`] in scalar order, so the
-/// quantized values are bit-identical to the scalar tier for every
-/// finite input.
-#[doc(hidden)]
-pub fn intq_roundtrip_with_isa(isa: Isa, values: &mut [f32], bits: u32, stream: u64) {
     debug_assert!((2..=16).contains(&bits), "intq bits must be in 2..=16");
-    let scale = match isa {
-        Isa::Avx2 => simd::max_abs(values),
-        Isa::Scalar => values.iter().fold(0.0f32, |m, v| m.max(v.abs())),
-    };
+    let scale = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
     if scale == 0.0 || !scale.is_finite() {
         return;
     }
     let levels = ((1u32 << (bits - 1)) - 1) as f32; // e.g. 127 for 8 bits
     let inv = levels / scale;
     let mut rng = seeded_rng(stream);
-    match isa {
-        Isa::Avx2 => {
-            let mut draws = [0.0f32; CODEC_BLOCK];
-            for chunk in values.chunks_mut(CODEC_BLOCK) {
-                for d in draws[..chunk.len()].iter_mut() {
-                    *d = rng.gen();
-                }
-                simd::intq_roundtrip_block(chunk, inv, levels, scale, &draws[..chunk.len()]);
-            }
-        }
-        Isa::Scalar => {
-            for v in values.iter_mut() {
-                let x = *v * inv;
-                let lo = x.floor();
-                let frac = x - lo;
-                // P(round up) = frac ⇒ E[q] = x.
-                let q = if rng.gen::<f32>() < frac {
-                    lo + 1.0
-                } else {
-                    lo
-                };
-                *v = q.clamp(-levels, levels) * scale / levels;
-            }
-        }
+    for v in values.iter_mut() {
+        let x = *v * inv;
+        let lo = x.floor();
+        let frac = x - lo;
+        // P(round up) = frac ⇒ E[q] = x.
+        let q = if rng.gen::<f32>() < frac {
+            lo + 1.0
+        } else {
+            lo
+        };
+        *v = q.clamp(-levels, levels) * scale / levels;
     }
 }
 
@@ -192,22 +151,8 @@ pub fn intq_roundtrip_with_isa(isa: Isa, values: &mut [f32], bits: u32, stream: 
 /// rather than panicking mid-selection — the same degrade-to-identity
 /// behavior as [`intq_roundtrip`]'s non-finite-scale guard).
 pub fn topk_mask(values: &mut [f32], k: usize, ws: &mut Workspace) {
-    topk_mask_with_isa(dispatch().isa(), values, k, ws);
-}
-
-/// [`topk_mask`] pinned to an explicit ISA tier (benchmark and
-/// equivalence-test hook). The magnitude fill, divergence guard, and
-/// above-threshold count vectorize; the selection and the tie-resolving
-/// mask pass are unchanged — the survivor set is identical on every
-/// tier, including all-equal-magnitude ties.
-#[doc(hidden)]
-pub fn topk_mask_with_isa(isa: Isa, values: &mut [f32], k: usize, ws: &mut Workspace) {
     let n = values.len();
-    let diverged = match isa {
-        Isa::Avx2 => simd::any_non_finite(values),
-        Isa::Scalar => values.iter().any(|v| !v.is_finite()),
-    };
-    if k >= n || diverged {
+    if k >= n || values.iter().any(|v| !v.is_finite()) {
         return;
     }
     if k == 0 {
@@ -215,13 +160,8 @@ pub fn topk_mask_with_isa(isa: Isa, values: &mut [f32], k: usize, ws: &mut Works
         return;
     }
     let mut mags = ws.take(n);
-    match isa {
-        Isa::Avx2 => simd::abs_into(values, &mut mags),
-        Isa::Scalar => {
-            for (m, v) in mags.iter_mut().zip(values.iter()) {
-                *m = v.abs();
-            }
-        }
+    for (m, v) in mags.iter_mut().zip(values.iter()) {
+        *m = v.abs();
     }
     // k-th largest magnitude = element at index k-1 of the descending
     // order. select_nth is O(n) and the threshold it finds is unique up
@@ -237,10 +177,7 @@ pub fn topk_mask_with_isa(isa: Isa, values: &mut [f32], k: usize, ws: &mut Works
     // Keep everything strictly above the threshold, then fill the
     // remaining slots with threshold-magnitude elements by ascending
     // index.
-    let above = match isa {
-        Isa::Avx2 => simd::count_gt(&mags, kth),
-        Isa::Scalar => mags.iter().filter(|&&m| m > kth).count(),
-    };
+    let above = mags.iter().filter(|&&m| m > kth).count();
     let mut at_budget = k - above;
     for (v, &m) in values.iter_mut().zip(mags.iter()) {
         if m > kth {

@@ -1,6 +1,6 @@
-//! Budgeted training: run every registered scheme under a *simulated*
-//! latency budget — "how much accuracy does each scheme buy with five
-//! simulated minutes of edge time?" — using the scheme registry and
+//! Budgeted training: run every scheme under a *simulated* latency
+//! budget — "how much accuracy does each scheme buy with five simulated
+//! minutes of edge time?" — using caller-built scheme instances and
 //! composable stop policies.
 //!
 //! This is the experiment protocol behind the paper's Fig. 2(b) reading:
@@ -10,7 +10,7 @@
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig};
 use gsfl::core::runner::Runner;
-use gsfl::core::scheme::SchemeRegistry;
+use gsfl::core::scheme::SchemeKind;
 use gsfl::core::stop::{CompositePolicy, LatencyBudget, LossPlateau};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,25 +33,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(3)
         .build()?;
     let runner = Runner::new(config)?;
-    let registry = SchemeRegistry::builtin();
 
     println!("budget: {budget_s:.0} simulated seconds (plus loss-plateau bailout)\n");
     println!(
         "{:<6} {:>7} {:>10} {:>10}",
         "scheme", "rounds", "sim_s", "acc_%"
     );
-    for name in registry.names() {
+    for kind in SchemeKind::all() {
         // Stop at the latency budget, or earlier if the loss flatlines.
         let policy = CompositePolicy::new()
             .with(Box::new(LatencyBudget::new(budget_s)))
             .with(Box::new(LossPlateau::new(25, 1e-4)));
-        let scheme = registry.create(name).expect("builtin scheme");
         let result = runner
-            .session_scheme(scheme, Box::new(policy))?
+            .session_scheme(kind.scheme(), Box::new(policy))?
             .run_to_end()?;
         println!(
             "{:<6} {:>7} {:>10.1} {:>10.1}",
-            name,
+            kind.name(),
             result.records.len(),
             result.total_latency_s(),
             result.final_accuracy_pct(),

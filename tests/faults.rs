@@ -1,14 +1,16 @@
 //! Fault-tolerant rounds, end to end: every scheme survives the `chaos`
 //! preset, fault realizations (standby activations included) are
 //! thread-count invariant, standbys cover crashed primaries, quorum-missed
-//! rounds leave the global model untouched, and a recovery spec that
-//! never fires is the identity.
+//! rounds leave the global model untouched, a recovery spec that never
+//! fires is the identity, and a diverging run stops with a typed reason
+//! instead of averaging non-finite updates into the global model.
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
 use gsfl::core::population::PopulationConfig;
 use gsfl::core::recovery::{DeadlinePolicy, RecoverySpec};
-use gsfl::core::runner::Runner;
+use gsfl::core::runner::{RoundEvent, Runner};
 use gsfl::core::scheme::SchemeKind;
+use gsfl::core::stop::StopReason;
 use gsfl::wireless::scenario::{ChaosSpec, Scenario, StragglerSpec};
 use gsfl::wireless::FaultSpec;
 
@@ -294,4 +296,73 @@ fn fault_accounting_reaches_records() {
         .unwrap();
     assert!(crashy.total_lost_clients() > 0, "p=0.3 must crash someone");
     assert_eq!(crashy.total_retries(), 0, "no loss, no retries");
+}
+
+/// A learning rate of 1e12 blows the models up in their first round.
+/// No aggregating scheme averages a non-finite upload into its global
+/// model: each leaves such uploads out of the merge as lost clients.
+/// SL's one chain and GSFL's two groups all turn non-finite, so their
+/// first round misses its quorum, keeps the initial global model, and
+/// the session stops with `Diverged`, as CL's does once its own model
+/// turns non-finite. FL and SFL each keep one client whose update stayed
+/// finite, if enormous, so they merge it and train on.
+#[test]
+fn diverging_runs_stop_and_keep_a_finite_global_model() {
+    let config = ExperimentConfig::builder()
+        .clients(6)
+        .groups(2)
+        .rounds(5)
+        .learning_rate(1e12)
+        .dataset(DatasetConfig {
+            classes: 43,
+            samples_per_class: 8,
+            test_per_class: 2,
+            image_size: 8,
+        })
+        .model(ModelKind::Mlp { hidden: vec![16] })
+        .seed(3)
+        .build()
+        .unwrap();
+    let runner = Runner::new(config).unwrap();
+    let ctx = runner.context();
+    for kind in SchemeKind::all() {
+        let mut session = runner.session(kind).unwrap();
+        let stop = session.by_ref().find_map(|event| match event.unwrap() {
+            RoundEvent::Stopped { reason, .. } => Some(reason),
+            _ => None,
+        });
+        let first = session.finish().records[0];
+        match kind {
+            SchemeKind::Centralized => {
+                assert_eq!(stop, Some(StopReason::Diverged { round: 1 }), "{kind}");
+                continue;
+            }
+            SchemeKind::VanillaSplit | SchemeKind::Gsfl => {
+                assert_eq!(stop, Some(StopReason::Diverged { round: 1 }), "{kind}");
+                assert!(!first.quorum_met, "{kind}");
+                assert_eq!(first.lost_clients, 6, "{kind}");
+            }
+            SchemeKind::Federated | SchemeKind::SplitFed => {
+                assert_eq!(stop, Some(StopReason::RoundBudget { rounds: 5 }), "{kind}");
+                assert!(first.quorum_met, "{kind}");
+                assert_eq!(first.lost_clients, 5, "{kind}");
+            }
+        }
+        // Driven round by round, every round leaves a finite global
+        // model; where nothing was merged, the model is as it was.
+        let mut scheme = kind.scheme();
+        scheme.init(ctx).unwrap();
+        for round in 1..=5 {
+            let before = scheme.global_params().unwrap();
+            let out = scheme.run_round(ctx, round).unwrap();
+            let global = scheme.global_params().unwrap();
+            assert!(
+                global.values().iter().all(|v| v.is_finite()),
+                "{kind}: round {round} left a non-finite global model"
+            );
+            if !out.latency.faults.quorum_met {
+                assert_eq!(global, before, "{kind}: round {round}");
+            }
+        }
+    }
 }

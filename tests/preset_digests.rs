@@ -22,6 +22,15 @@
 //! rounds; SL runs once under a shared bandwidth pool (its whole-band
 //! share) and once under the greedy cut policy.
 //!
+//! Every run above trains an MLP.
+//! `every_scheme_reproduces_its_pinned_deepthin_digest` pins all five
+//! schemes training the DeepThin CNN on `static`, which is what covers
+//! convolution, max-pooling and flattening. The conv weight gradient
+//! sums through a dot kernel that regroups its partial sums on the AVX2
+//! tier, so CNN records are equal only within epsilon across tiers: each
+//! CNN row is pinned per tier, in `tests/fixtures/deepthin_digests.txt`,
+//! and its label ends in the tier that produced it (`@avx2`, `@scalar`).
+//!
 //! Record digests see only 3 rounds of each environment, so a stream that
 //! first fires later (a congestion spike, a handoff) slips past them.
 //! `every_preset_environment_reproduces_its_pinned_digest` pins what each
@@ -38,6 +47,7 @@ use gsfl::core::results::RoundRecord;
 use gsfl::core::runner::Runner;
 use gsfl::core::scheme::SchemeKind;
 use gsfl::nn::codec::CodecSpec;
+use gsfl::tensor::simd::active_isa;
 use gsfl::wireless::allocation::BandwidthPolicy;
 use gsfl::wireless::environment::{ChannelModel, Direction, LinkState};
 use gsfl::wireless::latency::LatencyModel;
@@ -238,10 +248,19 @@ fn cases() -> Vec<(String, ExperimentConfig, SchemeKind)> {
     cases
 }
 
+/// The pinned fixture `name`, or an empty string if it is missing.
+fn fixture(name: &str) -> String {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(path).unwrap_or_default()
+}
+
 /// Compares `table` with the pinned fixture `name`, line by line.
 fn assert_pinned(table: &str, name: &str, what: &str) {
-    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    let pinned = std::fs::read_to_string(path).unwrap_or_default();
+    assert_matches(table, &fixture(name), what);
+}
+
+/// Compares `table` with `pinned`, line by line.
+fn assert_matches(table: &str, pinned: &str, what: &str) {
     let mismatched: Vec<String> = table
         .lines()
         .zip(pinned.lines().chain(std::iter::repeat("<missing>")))
@@ -267,6 +286,54 @@ fn every_preset_reproduces_its_pinned_record_digest() {
         table.push_str(&format!("{label} {:016x}\n", digest(&result.records)));
     }
     assert_pinned(&table, "preset_digests.txt", "record digests");
+}
+
+/// The DeepThin run: six clients in two groups on 8×8 images.
+fn deepthin_config() -> ExperimentConfig {
+    ExperimentConfig::builder()
+        .clients(6)
+        .groups(2)
+        .rounds(3)
+        .batch_size(4)
+        .eval_every(3)
+        .learning_rate(0.1)
+        .dataset(DatasetConfig {
+            classes: 4,
+            samples_per_class: 8,
+            test_per_class: 4,
+            image_size: 8,
+        })
+        .model(ModelKind::DeepThin {
+            conv1: 4,
+            conv2: 8,
+            fc: 16,
+        })
+        .scenario(preset("static"))
+        .seed(5)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn every_scheme_reproduces_its_pinned_deepthin_digest() {
+    let isa = active_isa().name();
+    let mut table = String::new();
+    for kind in SchemeKind::all() {
+        let label = format!("static {} deepthin@{isa}", kind.name());
+        let result = Runner::new(deepthin_config())
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .run(kind)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(!result.records.is_empty(), "{label}: no records");
+        table.push_str(&format!("{label} {:016x}\n", digest(&result.records)));
+    }
+    let tag = format!("@{isa} ");
+    let pinned: String = fixture("deepthin_digests.txt")
+        .lines()
+        .filter(|line| line.contains(&tag))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_matches(&table, &pinned, "DeepThin record digests");
 }
 
 /// Rounds each environment digest covers.

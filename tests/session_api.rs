@@ -1,9 +1,9 @@
 //! Integration tests for the session-based scheme API: stream/one-shot
-//! equivalence, pluggable stop policies, and the scheme registry.
+//! equivalence, pluggable stop policies, and name dispatch of the schemes.
 
 use gsfl::core::config::{DatasetConfig, ExperimentConfig, ModelKind};
 use gsfl::core::runner::{RoundEvent, Runner, Session};
-use gsfl::core::scheme::{SchemeKind, SchemeRegistry};
+use gsfl::core::scheme::SchemeKind;
 use gsfl::core::stop::{CompositePolicy, LatencyBudget, LossPlateau, RoundBudget, StopReason};
 
 fn config(rounds: usize) -> ExperimentConfig {
@@ -193,30 +193,26 @@ fn composite_policy_takes_first_trip() {
     assert_eq!(session.finish().records.len(), 3);
 }
 
-/// Registry round-trip: every builtin name constructs a scheme whose
-/// kind maps back to the same name, and registry-built schemes run
-/// identically to kind-built ones.
+/// Name round-trip: every built-in kind's name maps back to it, the
+/// scheme it builds reports that kind, and a session over that scheme
+/// runs identically to `run(kind)`.
 #[test]
 fn registry_round_trips_and_runs() {
-    let registry = SchemeRegistry::builtin();
-    assert_eq!(registry.names(), vec!["cl", "sl", "gsfl", "fl", "sfl"]);
+    let names: Vec<&str> = SchemeKind::all().iter().map(|k| k.name()).collect();
+    assert_eq!(names, vec!["cl", "sl", "gsfl", "fl", "sfl"]);
 
     let runner = Runner::new(config(2)).unwrap();
-    for name in registry.names() {
-        let scheme = registry.create(name).expect("builtin scheme");
-        assert_eq!(scheme.kind().name(), name);
-        assert_eq!(SchemeKind::from_name(name), Some(scheme.kind()));
+    for kind in SchemeKind::all() {
+        assert_eq!(SchemeKind::from_name(kind.name()), Some(kind));
+        assert_eq!(kind.scheme().kind(), kind);
 
-        let via_registry = runner
-            .session_scheme(
-                registry.create(name).unwrap(),
-                Box::new(RoundBudget::new(usize::MAX)),
-            )
+        let via_scheme = runner
+            .session_scheme(kind.scheme(), Box::new(RoundBudget::new(usize::MAX)))
             .unwrap()
             .run_to_end()
             .unwrap();
-        let via_kind = runner.run(SchemeKind::from_name(name).unwrap()).unwrap();
-        assert_eq!(via_registry.records, via_kind.records, "{name}");
+        let via_kind = runner.run(kind).unwrap();
+        assert_eq!(via_scheme.records, via_kind.records, "{kind}");
     }
 }
 
